@@ -3,10 +3,10 @@
 // Throughput of the kernels everything else is built on: robust orientation
 // predicate (filtered vs forced-exact), convex hull, the single-observer
 // angular sweep (warmed scratch, allocation-counted), whole-graph
-// obstructed visibility serial vs pooled (vs the O(n^3) oracle), smallest
-// enclosing circle, snapshot construction (allocating vs scratch-reusing,
-// with a heap-allocation counter), one full SSYNC round serial vs pooled,
-// and one full ASYNC engine run per size.
+// obstructed visibility serial vs pooled (vs the O(n^3) oracle), snapshot
+// construction (allocating vs scratch-reusing, with a heap-allocation
+// counter), one full SSYNC round serial vs pooled, and one full ASYNC
+// engine run per size.
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
 // numbers; bench/compare_bench.py gates CI on regressions against the
@@ -19,7 +19,6 @@
 
 #include "core/registry.hpp"
 #include "gen/generators.hpp"
-#include "geom/circle.hpp"
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
@@ -122,34 +121,11 @@ void BM_ConvexHull(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvexHull)->Range(64, 4096)->Complexity(benchmark::oNLogN);
 
-void BM_VisibleFrom(benchmark::State& state) {
-  // Single-observer angular sweep on warmed scratch — the exact kernel one
-  // Look executes. The counter column pins the zero-allocation claim for
-  // the steady-state Look path.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = random_points(n, 3);
-  lumen::geom::VisibilityScratch scratch;
-  std::vector<std::size_t> out;
-  lumen::geom::visible_from(pts, 0, scratch, out);  // Warm.
-  const std::size_t allocs_before = alloc_count();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    lumen::geom::visible_from(pts, i, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-    i = (i + 1) % n;
-  }
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(alloc_count() - allocs_before) /
-      static_cast<double>(state.iterations()));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_VisibleFrom)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
-
 void BM_VisibleFromSoA(benchmark::State& state) {
-  // The split-array kernel exactly as sim::WorldState feeds it: the
-  // key-build loop streams xs/ys directly instead of materialising Vec2
-  // pairs. Output is bit-identical to BM_VisibleFrom's AoS form; the delta
-  // between the two families is pure memory-layout effect.
+  // Single-observer angular sweep on warmed scratch — the exact kernel one
+  // Look executes, over the split arrays sim::WorldState feeds it. The
+  // counter column pins the zero-allocation claim for the steady-state
+  // Look path.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = random_points(n, 3);
   std::vector<double> xs(n);
@@ -362,15 +338,6 @@ void BM_VisibilityNaiveOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_VisibilityNaiveOracle)->Range(32, 256)->Complexity();
 
-void BM_SmallestEnclosingCircle(benchmark::State& state) {
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 4);
-  for (auto _ : state) {
-    auto c = lumen::geom::smallest_enclosing_circle(pts);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_SmallestEnclosingCircle)->Range(64, 4096);
-
 void BM_BuildSnapshot(benchmark::State& state) {
   const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 5);
   const std::vector<lumen::model::Light> lights(pts.size(),
@@ -389,19 +356,26 @@ void BM_BuildSnapshot(benchmark::State& state) {
 BENCHMARK(BM_BuildSnapshot)->Range(32, 1024);
 
 void BM_BuildSnapshotScratch(benchmark::State& state) {
-  // The engine's steady-state Look path: warmed scratch buffers, zero heap
-  // traffic (the counter column proves it).
+  // The engine's steady-state Look path (SoA arrays, as sim::WorldState
+  // holds them): warmed scratch buffers, zero heap traffic (the counter
+  // column proves it).
   const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 5);
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const Vec2 p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
   const std::vector<lumen::model::Light> lights(pts.size(),
                                                 lumen::model::Light::kOff);
   lumen::util::Prng rng{6};
   const auto frame = lumen::model::LocalFrame::random(pts[0], rng);
   lumen::model::SnapshotScratch scratch;
   lumen::model::Snapshot snap;
-  lumen::model::build_snapshot(pts, lights, 0, frame, scratch, snap);  // Warm.
+  lumen::model::build_snapshot(xs, ys, lights, 0, frame, scratch, snap);  // Warm.
   const std::size_t allocs_before = alloc_count();
   for (auto _ : state) {
-    lumen::model::build_snapshot(pts, lights, 0, frame, scratch, snap);
+    lumen::model::build_snapshot(xs, ys, lights, 0, frame, scratch, snap);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["heap_allocs_per_iter"] = benchmark::Counter(

@@ -11,7 +11,7 @@ non-zero if any gated kernel regressed by more than --threshold (fractional;
 gated -- the ones the in-run parallelism and SIMD work optimize and CI
 protects:
 
-    BM_VisibleFrom/*  BM_VisibleFromSoA/*  BM_ComputeVisibility/*
+    BM_VisibleFromSoA/*  BM_ComputeVisibility/*
     BM_SsyncRoundStep/*  BM_IncrementalRound/*  BM_BuildKeys/*
     BM_HullCull/*
 

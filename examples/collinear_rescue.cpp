@@ -12,6 +12,7 @@
 #include "model/snapshot.hpp"
 #include "sim/monitors.hpp"
 #include "sim/run.hpp"
+#include "sim/streaming_collision.hpp"
 #include "util/cli.hpp"
 
 #include <cstdio>
@@ -52,7 +53,9 @@ int main(int argc, char** argv) {
   sim::RunConfig config;
   config.seed = seed;
   config.record_hull_history = true;
-  const auto run = sim::run_simulation(*algorithm, initial, config);
+  sim::StreamingCollisionMonitor monitor;
+  sim::RunObserver* observers[] = {&monitor};
+  const auto run = sim::run_simulation(*algorithm, initial, config, observers);
 
   // Snapshot the world right after the first wave of moves (the line
   // escape) by replaying trajectories to the time of the n/2-th move.
@@ -67,8 +70,7 @@ int main(int argc, char** argv) {
   print_census("final", run.final_positions);
 
   const auto verdict = sim::verify_complete_visibility(run.final_positions);
-  const auto collisions =
-      sim::check_collisions(run.initial_positions, run.moves, run.final_time);
+  const sim::CollisionReport& collisions = monitor.report();
   std::printf("\nepochs: %zu   moves: %zu   complete visibility: %s   "
               "collision-free: %s\n",
               run.epochs, run.total_moves,

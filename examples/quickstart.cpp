@@ -4,12 +4,14 @@
 //   quickstart [--n=32] [--seed=7] [--family=uniform-disk] [--svg=out.svg]
 //
 // Demonstrates the whole public API surface: generate a configuration, pick
-// an algorithm from the registry, run it under the ASYNC scheduler, audit
-// the execution with the monitors, and (optionally) render it to SVG.
+// an algorithm from the registry, run it under the ASYNC scheduler with a
+// streaming collision monitor attached, verify the outcome, and
+// (optionally) render it to SVG.
 #include "core/registry.hpp"
 #include "gen/generators.hpp"
 #include "sim/monitors.hpp"
 #include "sim/run.hpp"
+#include "sim/streaming_collision.hpp"
 #include "sim/svg.hpp"
 #include "util/cli.hpp"
 
@@ -63,15 +65,20 @@ int main(int argc, char** argv) {
   config.scheduler = *scheduler;
   config.adversary = *adversary;
   config.seed = seed;
-  const auto run = lumen::sim::run_simulation(*algorithm, initial, config);
+  // The move log is retained only for the SVG; the collision audit streams.
+  const std::string svg_path = cli.get("svg");
+  config.record_moves = !svg_path.empty();
+  lumen::sim::StreamingCollisionMonitor monitor;
+  lumen::sim::RunObserver* observers[] = {&monitor};
+  const auto run =
+      lumen::sim::run_simulation(*algorithm, initial, config, observers);
 
   // 4. Audit the run against the algorithm's DECLARED success predicate
   //    (complete visibility for the paper's algorithms, mutual visibility
   //    for the related-work plugins — DESIGN.md §14).
   const auto success = lumen::sim::verify_success(algorithm->success_predicate(),
                                                   run.final_positions);
-  const auto collisions = lumen::sim::check_collisions(
-      run.initial_positions, run.moves, run.final_time);
+  const lumen::sim::CollisionReport& collisions = monitor.report();
 
   std::printf("algorithm            : %s\n", std::string(algorithm->name()).c_str());
   std::printf("robots               : %zu (%s, seed %llu)\n", n,
@@ -101,7 +108,6 @@ int main(int argc, char** argv) {
   }
   std::printf("distinct colors used : %zu\n", run.distinct_lights_used());
 
-  const std::string svg_path = cli.get("svg");
   if (!svg_path.empty()) {
     if (lumen::sim::save_svg(run, svg_path)) {
       std::printf("svg                  : %s\n", svg_path.c_str());

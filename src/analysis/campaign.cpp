@@ -5,7 +5,6 @@
 #include "util/prng.hpp"
 #include "sim/look_arena.hpp"
 #include "sim/monitors.hpp"
-#include "sim/streaming_collision.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -277,14 +276,11 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
     // the next instead of being reallocated at every engine reset. Results
     // are bit-identical with or without the shared arena (see run.hpp).
     config.arena = arena;
-    // Fault-injected audited runs swap the bare collision monitor for the
-    // attributing SafetyMonitor; on fault-free runs both produce identical
-    // reports, so the plain monitor keeps the historical hot path.
-    const bool attribute_faults = spec.audit_collisions && spec.run.fault.any();
-    sim::StreamingCollisionMonitor monitor(spec.collision_tolerance);
+    // The collision audit streams through SafetyMonitor, which also blames
+    // incidents on the fault channel last seen active (kNone on fault-free
+    // runs, where its report equals a bare StreamingCollisionMonitor's).
     sim::SafetyMonitor safety(spec.collision_tolerance);
-    sim::RunObserver* observers[] = {
-        attribute_faults ? static_cast<sim::RunObserver*>(&safety) : &monitor};
+    sim::RunObserver* observers[] = {&safety};
     const auto run =
         spec.audit_collisions
             ? sim::run_simulation(*algorithm, initial, config, observers)
@@ -317,15 +313,14 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
                             &workers)
             .satisfied;
     if (spec.audit_collisions) {
-      const sim::CollisionReport& report =
-          attribute_faults ? safety.report() : monitor.report();
+      const sim::CollisionReport& report = safety.report();
       m.collision_free = report.hazard_free(1e-9);
       m.min_observed_separation = report.min_separation;
       m.path_crossings = report.path_crossings;
       m.position_collisions = report.position_collisions;
       if (report.position_collisions > 0) {
         m.outcome = sim::RunOutcome::kCollision;
-        if (attribute_faults) m.collision_channel = safety.dominant_channel();
+        m.collision_channel = safety.dominant_channel();
       }
       if (spec.abort_on_collision && report.position_collisions > 0) {
         return {std::nullopt,

@@ -61,9 +61,10 @@ enum class Level : int {
 /// calls; switch only between runs.
 bool set_active_level(Level level) noexcept;
 
-/// Batched SoA angular-key build: exactly detail::build_keys over
-/// pt(j) = {xs[j], ys[j]} (observer `i` and coincident points skipped),
-/// filling scratch.upper/lower with the half-partitioned AngularKeys AND
+/// Batched SoA angular-key build — the one key builder of the visibility
+/// kernel — over pt(j) = {xs[j], ys[j]} (observer `i` and coincident points
+/// skipped), filling scratch.upper/lower with the half-partitioned
+/// AngularKeys (in index order, one detail::append_key per point) AND
 /// scratch.upper_order/lower_order with the (akey bits << 32 | slot)
 /// presort records the radix sort consumes. All four vectors are sized
 /// exactly (a cheap vectorized counting pass precedes the build), so cold

@@ -24,8 +24,8 @@ inline std::uint64_t order_record(float akey, std::size_t slot) noexcept {
 }
 
 /// Appends point j's angular key (direction d = p - o, nonzero) to the
-/// half-partitioned key and presort-record vectors — one point of
-/// detail::build_keys, with the sort_half record build fused in.
+/// half-partitioned key and presort-record vectors — one point of the
+/// scalar build_keys_soa, with the presort record built alongside.
 inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
   using geom::detail::diamond_key;
   using geom::detail::half_of;

@@ -56,13 +56,46 @@ bool VisibilityGraph::complete() const noexcept {
 
 namespace {
 
-/// Shared graph fill over any per-observer sweep(i, scratch, out): the AoS
-/// entry point instantiates it with visible_from_impl, the SoA one with the
-/// batch-kernel sweep (visible_from_soa_impl).
-template <class SweepFn>
-VisibilityGraph compute_visibility_graph(std::size_t n, util::ThreadPool* pool,
-                                         const SweepFn& sweep) {
+/// A Vec2 span copied once into the split arrays the kernel reads.
+struct SplitCoords {
+  explicit SplitCoords(std::span<const Vec2> pts)
+      : xs(pts.size()), ys(pts.size()) {
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      xs[j] = pts[j].x;
+      ys[j] = pts[j].y;
+    }
+  }
+  std::vector<double> xs;
+  std::vector<double> ys;
+};
+
+}  // namespace
+
+void visible_from(std::span<const double> xs, std::span<const double> ys,
+                  std::size_t i, VisibilityScratch& scratch,
+                  std::vector<std::size_t>& out) {
+  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
+                                out);
+}
+
+std::vector<std::size_t> visible_from(std::span<const Vec2> pts, std::size_t i) {
+  const SplitCoords c(pts);
+  VisibilityScratch scratch;
+  std::vector<std::size_t> visible;
+  visible_from(c.xs, c.ys, i, scratch, visible);
+  return visible;
+}
+
+VisibilityGraph compute_visibility(std::span<const double> xs,
+                                   std::span<const double> ys,
+                                   util::ThreadPool* pool) {
+  const std::size_t n = xs.size();
   VisibilityGraph g(n);
+  const auto sweep = [&](std::size_t i, VisibilityScratch& scratch,
+                         std::vector<std::size_t>& out) {
+    visible_from(xs, ys, i, scratch, out);
+    for (const std::size_t j : out) g.set_half(i, j);
+  };
   if (pool != nullptr && n >= detail::kMinParallelObservers) {
     // Every observer writes only its own row; the per-observer relation is
     // exactly the (symmetric) naive blocking relation — see emit_run — so
@@ -76,65 +109,21 @@ VisibilityGraph compute_visibility_graph(std::size_t n, util::ThreadPool* pool,
     pool->parallel_for_slots(
         n,
         [&](std::size_t slot, std::size_t i) {
-          ObserverScratch& s = slots[slot];
-          sweep(i, s.scratch, s.out);
-          for (const std::size_t j : s.out) g.set_half(i, j);
+          sweep(i, slots[slot].scratch, slots[slot].out);
         },
         /*grain=*/4);
     return g;
   }
   VisibilityScratch scratch;
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    sweep(i, scratch, out);
-    for (const std::size_t j : out) g.set_half(i, j);
-  }
+  for (std::size_t i = 0; i < n; ++i) sweep(i, scratch, out);
   return g;
-}
-
-}  // namespace
-
-std::vector<std::size_t> visible_from(std::span<const Vec2> pts, std::size_t i) {
-  VisibilityScratch scratch;
-  std::vector<std::size_t> visible;
-  visible_from(pts, i, scratch, visible);
-  return visible;
-}
-
-void visible_from(std::span<const Vec2> pts, std::size_t i,
-                  VisibilityScratch& scratch, std::vector<std::size_t>& out) {
-  detail::visible_from_impl([pts](std::size_t j) noexcept { return pts[j]; },
-                            pts.size(), i, scratch, out);
-}
-
-void visible_from(std::span<const double> xs, std::span<const double> ys,
-                  std::size_t i, VisibilityScratch& scratch,
-                  std::vector<std::size_t>& out) {
-  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
-                                out);
 }
 
 VisibilityGraph compute_visibility(std::span<const Vec2> pts,
                                    util::ThreadPool* pool) {
-  const auto pt = [pts](std::size_t j) noexcept { return pts[j]; };
-  return compute_visibility_graph(
-      pts.size(), pool,
-      [&](std::size_t i, VisibilityScratch& scratch,
-          std::vector<std::size_t>& out) {
-        detail::visible_from_impl(pt, pts.size(), i, scratch, out);
-      });
-}
-
-VisibilityGraph compute_visibility(std::span<const double> xs,
-                                   std::span<const double> ys,
-                                   util::ThreadPool* pool) {
-  return compute_visibility_graph(
-      xs.size(), pool,
-      [&](std::size_t i, VisibilityScratch& scratch,
-          std::vector<std::size_t>& out) {
-        detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i,
-                                      scratch, out);
-      });
+  const SplitCoords c(pts);
+  return compute_visibility(c.xs, c.ys, pool);
 }
 
 bool visible_naive(std::span<const Vec2> pts, std::size_t i, std::size_t j) {

@@ -1,12 +1,13 @@
 // lumen_sim: execution monitors — the machine-checkable counterparts of the
 // paper's safety theorems.
 //
-// The collision monitor verifies claim C4 on the CONTINUOUS motion: for
+// The collision report verifies claim C4 on the CONTINUOUS motion: for
 // every pair of robots and every instant, positions stay distinct
 // (closed-form closest approach between piecewise-linear trajectories, no
 // sampling holes), and the swept paths of time-overlapping moves never
-// cross. The convexity/visibility checks verify C1's postcondition on the
-// final configuration.
+// cross. StreamingCollisionMonitor (sim/streaming_collision.hpp) produces it
+// from the live event stream. The convexity/visibility checks verify C1's
+// postcondition on the final configuration.
 #pragma once
 
 #include "geom/vec2.hpp"
@@ -32,8 +33,8 @@ namespace detail {
 
 /// A maximal interval during which a robot's motion is a single linear
 /// function of time (either one MoveSegment or an idle stretch). Shared by
-/// the post-hoc audit and the streaming monitor so both evaluate closest
-/// approaches on bit-identical arguments.
+/// the streaming monitor and the tests' post-hoc oracle so both evaluate
+/// closest approaches on bit-identical arguments.
 struct Piece {
   double t0 = 0.0;
   double t1 = 0.0;
@@ -77,15 +78,6 @@ struct CollisionReport {
     return position_collisions == 0 && min_separation >= delta;
   }
 };
-
-/// Runs the full continuous collision audit over a recorded execution.
-/// `collision_tolerance`: separations at or below it count as collisions
-/// (0 flags only exact coincidence; the benches use a small positive value
-/// to also catch grazing contact).
-[[nodiscard]] CollisionReport check_collisions(
-    std::span<const geom::Vec2> initial_positions,
-    std::span<const MoveSegment> moves, double horizon,
-    double collision_tolerance = 0.0);
 
 /// Minimum distance between two linearly moving points over [t0, t1].
 /// a(t) and b(t) are given by endpoint positions at t0 and t1.

@@ -96,9 +96,9 @@ struct RunConfig {
   /// Record hull corner counts over time (costs O(N log N) per move).
   bool record_hull_history = false;
   /// Retain the full move log in RunResult::moves. On by default for
-  /// single-run workflows (traces, SVG, post-hoc audits); campaigns switch
-  /// it off and audit with the streaming collision monitor instead, so a
-  /// run's memory no longer grows with its length.
+  /// single-run workflows (traces, SVG); campaigns switch it off and audit
+  /// with the streaming collision monitor instead, so a run's memory no
+  /// longer grows with its length.
   bool record_moves = true;
   /// Rigid movement: a moving robot always reaches its target. When false
   /// (the NON-RIGID model variant), the adversary may stop the robot

@@ -1,12 +1,13 @@
 // lumen_sim: streaming collision auditing.
 //
-// StreamingCollisionMonitor folds the continuous collision audit of
-// monitors.hpp's check_collisions over the live event stream instead of a
-// retained move log, so campaigns can audit arbitrarily long runs with
-// memory bounded by the number of concurrently-relevant motion pieces.
+// StreamingCollisionMonitor is the product's one continuous collision
+// audit (monitors.hpp's CollisionReport). It folds over the live event
+// stream instead of a retained move log, so runs of any length are audited
+// with memory bounded by the number of concurrently-relevant motion pieces.
+// The post-hoc replay in tests/collision_oracle.hpp is its test oracle.
 //
 // Algorithm: each robot's trajectory is the same piecewise-linear Piece
-// decomposition check_collisions reconstructs post-hoc (idle stretches and
+// decomposition the post-hoc oracle reconstructs (idle stretches and
 // move segments). A piece CLOSES when its end becomes known — an idle piece
 // when the robot's next move commits, a move piece when it completes, tails
 // at run end. Every overlapping piece pair is evaluated exactly once, when
@@ -37,8 +38,9 @@ namespace lumen::sim {
 
 class StreamingCollisionMonitor final : public RunObserver {
  public:
-  /// `collision_tolerance`: separations at or below it count as collisions,
-  /// exactly as in check_collisions.
+  /// `collision_tolerance`: separations at or below it count as collisions
+  /// (0 flags only exact coincidence; the benches use a small positive
+  /// value to also catch grazing contact).
   explicit StreamingCollisionMonitor(double collision_tolerance = 0.0)
       : tolerance_(collision_tolerance) {}
 

@@ -12,7 +12,6 @@
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
 #include "util/prng.hpp"
-#include "util/radix.hpp"
 
 #include <gtest/gtest.h>
 
@@ -230,32 +229,6 @@ TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
       geom::simd::sort_angular_records(got, tmp, 2.0f);
       EXPECT_EQ(expected, got)
           << "m=" << m << " level=" << geom::simd::to_string(level);
-    }
-  }
-}
-
-TEST(GeomSimd, Key64RadixMatchesStableSort) {
-  util::Prng rng(99);
-  for (std::size_t m : {0u, 3u, 95u, 96u, 500u, 3000u}) {
-    std::vector<util::Key64Record> records;
-    records.reserve(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      // Narrow key range => dense ties, the case that breaks unstable sorts.
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(rng.uniform(0.0, 17.0)) << 40;
-      records.push_back({key, static_cast<std::uint32_t>(k)});
-    }
-    std::vector<util::Key64Record> expected = records;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const util::Key64Record& a, const util::Key64Record& b) {
-                       return a.key < b.key;
-                     });
-    std::vector<util::Key64Record> tmp;
-    util::sort_key64_records(records, tmp);
-    ASSERT_EQ(expected.size(), records.size()) << "m=" << m;
-    for (std::size_t k = 0; k < m; ++k) {
-      EXPECT_EQ(expected[k].key, records[k].key) << "m=" << m << " k=" << k;
-      EXPECT_EQ(expected[k].slot, records[k].slot) << "m=" << m << " k=" << k;
     }
   }
 }

@@ -13,6 +13,8 @@
 #include "sim/monitors.hpp"
 #include "sim/run.hpp"
 
+#include "collision_oracle.hpp"
+
 namespace lumen {
 namespace {
 

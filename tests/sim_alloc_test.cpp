@@ -1,11 +1,13 @@
 // Steady-state allocation audit for the Look path.
 //
 // The engines snapshot the world on every Look; the scratch overloads of
-// geom::visible_from and model::build_snapshot must therefore be heap-free
-// once their buffers are warm, or a long campaign spends its time in the
-// allocator. The test TU replaces global operator new/delete with counting
-// versions and asserts zero allocations across warmed-up calls.
+// geom::visible_from and model::build_snapshot, and the visibility cache's
+// replay path, must therefore be heap-free once their buffers are warm, or
+// a long campaign spends its time in the allocator. The test TU replaces
+// global operator new/delete with counting versions and asserts zero
+// allocations across warmed-up calls.
 #include "geom/visibility.hpp"
+#include "geom/visibility_cache.hpp"
 #include "model/frame.hpp"
 #include "model/snapshot.hpp"
 #include "util/prng.hpp"
@@ -13,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 namespace {
@@ -24,24 +28,30 @@ std::size_t g_alloc_bytes = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline: once GCC inlines a replaced operator into a caller it sees the
+// malloc/free pairing behind new/delete and reports it as mismatched.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_alloc_count;
   g_alloc_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   ++g_alloc_count;
   g_alloc_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lumen {
 namespace {
@@ -58,32 +68,61 @@ std::vector<Vec2> ring_of_points(std::size_t n) {
   return pts;
 }
 
-TEST(LookPathAllocations, VisibleFromScratchOverloadIsAllocationFree) {
-  const auto pts = ring_of_points(64);
-  geom::VisibilityScratch scratch;
-  std::vector<std::size_t> out;
-  // Warm the scratch buffers to steady-state capacity.
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    geom::visible_from(pts, i, scratch, out);
+/// The split coordinate arrays sim::WorldState feeds the Look path.
+struct SplitPoints {
+  explicit SplitPoints(std::span<const Vec2> pts) {
+    for (const Vec2 p : pts) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    }
   }
+  std::vector<double> xs;
+  std::vector<double> ys;
+};
+
+TEST(LookPathAllocations, CachedLookSnapshotIsAllocationFree) {
+  // The ExecutionCore Look path with the visibility cache on: cache lookup
+  // (rebuild, store, then replay against an unchanged world) followed by
+  // the snapshot mapping tail.
+  const auto pts = ring_of_points(64);
+  const SplitPoints split(pts);
+  const std::vector<model::Light> lights(pts.size(), model::Light::kOff);
+  const std::vector<std::uint32_t> write_log;
+  util::Prng frame_rng(7);
+  const model::LocalFrame frame = model::LocalFrame::random(pts[0], frame_rng);
+  geom::VisibilityCache cache;
+  cache.reset(pts.size(), std::size_t{1} << 20);
+  ASSERT_EQ(cache.cached_observers(), pts.size());
+  model::SnapshotScratch scratch;
+  model::Snapshot snap;
+  const auto look = [&](std::size_t i) {
+    cache.visible_from(split.xs, split.ys, i, write_log, /*moving_count=*/0,
+                       scratch.visibility, scratch.visible_ids);
+    model::fill_snapshot(split.xs, split.ys, lights, i, scratch.visible_ids,
+                         frame, snap);
+  };
+  // Warm up: two rebuilds per observer admit every entry to the cache.
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < pts.size(); ++i) look(i);
+  }
+  const std::uint64_t replays_before = cache.replays();
   const std::size_t before = g_alloc_count;
   for (std::size_t round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      geom::visible_from(pts, i, scratch, out);
-      ASSERT_FALSE(out.empty());
+      look(i);
+      ASSERT_GT(snap.visible_count(), 0u);
     }
   }
   EXPECT_EQ(g_alloc_count, before)
-      << "warm visible_from must not touch the heap";
+      << "the warmed cached Look path must not touch the heap";
+  EXPECT_EQ(cache.replays() - replays_before, 3 * pts.size());
 }
 
 TEST(LookPathAllocations, VisibleFromSoAOverloadIsAllocationFree) {
   const auto pts = ring_of_points(64);
-  std::vector<double> xs, ys;
-  for (const Vec2 p : pts) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
+  const SplitPoints split(pts);
+  const std::vector<double>& xs = split.xs;
+  const std::vector<double>& ys = split.ys;
   geom::VisibilityScratch scratch;
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -103,22 +142,17 @@ TEST(LookPathAllocations, VisibleFromSoAOverloadIsAllocationFree) {
 TEST(LookPathAllocations, ColdSoAKeyBuildReservesTheExactSplit) {
   // The batched key build counts the upper/lower split before sizing, so a
   // COLD call allocates the true split (~32+8 bytes per point across the
-  // four scratch vectors) plus the sort/output workspace — NOT the 2x-of-n
-  // guess the old AoS build_keys reserved for both halves. The bound below
+  // four scratch vectors) plus the sort/output workspace — NOT a 2x-of-n
+  // guess that reserves n keys for both halves. The bound below
   // sits between the two: exact sizing passes with plenty of headroom,
   // a both-halves reserve(n) (64 bytes/point for the key vectors alone,
   // ~112 total) trips it.
   const std::size_t n = 1024;
-  const auto pts = ring_of_points(n);
-  std::vector<double> xs, ys;
-  for (const Vec2 p : pts) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
+  const SplitPoints split(ring_of_points(n));
   geom::VisibilityScratch scratch;
   std::vector<std::size_t> out;
   const std::size_t before = g_alloc_bytes;
-  geom::visible_from(xs, ys, 0, scratch, out);
+  geom::visible_from(split.xs, split.ys, 0, scratch, out);
   const std::size_t cold_bytes = g_alloc_bytes - before;
   EXPECT_LT(cold_bytes, 75 * n)
       << "cold SoA visible_from allocated " << cold_bytes
@@ -126,7 +160,9 @@ TEST(LookPathAllocations, ColdSoAKeyBuildReservesTheExactSplit) {
 }
 
 TEST(LookPathAllocations, BuildSnapshotScratchOverloadIsAllocationFree) {
+  // The uncached ExecutionCore Look path: the SoA scratch build_snapshot.
   const auto pts = ring_of_points(64);
+  const SplitPoints split(pts);
   const std::vector<model::Light> lights(pts.size(), model::Light::kOff);
   util::Prng frame_rng(7);
   model::SnapshotScratch scratch;
@@ -134,14 +170,15 @@ TEST(LookPathAllocations, BuildSnapshotScratchOverloadIsAllocationFree) {
   // Warm up: every observer once, so visible-list capacities peak.
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const model::LocalFrame frame = model::LocalFrame::random(pts[i], frame_rng);
-    model::build_snapshot(pts, lights, i, frame, scratch, snap);
+    model::build_snapshot(split.xs, split.ys, lights, i, frame, scratch, snap);
   }
   const std::size_t before = g_alloc_count;
   for (std::size_t round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       const model::LocalFrame frame =
           model::LocalFrame::random(pts[i], frame_rng);
-      model::build_snapshot(pts, lights, i, frame, scratch, snap);
+      model::build_snapshot(split.xs, split.ys, lights, i, frame, scratch,
+                            snap);
       ASSERT_GT(snap.visible_count(), 0u);
     }
   }

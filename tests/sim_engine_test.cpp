@@ -4,6 +4,8 @@
 #include "sim/monitors.hpp"
 #include "sim/run.hpp"
 
+#include "collision_oracle.hpp"
+
 #include <gtest/gtest.h>
 
 #include "core/registry.hpp"

@@ -2,6 +2,8 @@
 // collision/crossing scenarios, and the final-configuration verdicts.
 #include "sim/monitors.hpp"
 
+#include "collision_oracle.hpp"
+
 #include <gtest/gtest.h>
 
 #include "util/prng.hpp"

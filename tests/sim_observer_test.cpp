@@ -9,6 +9,8 @@
 #include "sim/run.hpp"
 #include "sim/streaming_collision.hpp"
 
+#include "collision_oracle.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>

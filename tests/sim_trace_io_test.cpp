@@ -10,6 +10,8 @@
 #include "gen/generators.hpp"
 #include "sim/monitors.hpp"
 
+#include "collision_oracle.hpp"
+
 namespace lumen::sim {
 namespace {
 
