@@ -10,29 +10,17 @@
 
 namespace lumen::core {
 
-using geom::Vec2;
 using model::Action;
 using model::Light;
 
 namespace {
-
-/// Distance from p to the nearest edge of the view's hull.
-double distance_to_hull_boundary(const LocalView& view, Vec2 p) {
-  const std::size_t h = view.hull.size();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
-    best = std::min(best, geom::point_segment_distance(e, p));
-  }
-  return best;
-}
 
 /// The serialization test: the observer moves only if it is strictly the
 /// closest-to-boundary robot among every visible non-corner robot. This is
 /// how the SSYNC algorithm's "everyone moves" becomes "one at a time" when
 /// atomic rounds are gone.
 bool is_unique_candidate(const LocalView& view) {
-  const double own = distance_to_hull_boundary(view, view.self());
+  const double own = hull_edge_distance(view, view.self());
   for (std::size_t i = 1; i < view.pts.size(); ++i) {
     if (view.lights[i] == Light::kCorner) continue;
     // Hull vertices other than self are prospective corners, not rivals.
@@ -44,7 +32,7 @@ bool is_unique_candidate(const LocalView& view) {
       }
     }
     if (is_hull_vertex) continue;
-    if (distance_to_hull_boundary(view, view.pts[i]) <= own) return false;
+    if (hull_edge_distance(view, view.pts[i]) <= own) return false;
   }
   return true;
 }
@@ -65,7 +53,7 @@ std::optional<GateEdge> nearest_corner_lit_edge(const LocalView& view) {
     const double d = geom::point_segment_distance(e, view.self());
     if (d < best_dist) {
       best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d};
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
     }
   }
   return best;

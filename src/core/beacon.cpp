@@ -30,12 +30,27 @@ double wedge_bound(Vec2 u, Vec2 v, Vec2 base, Vec2 n) noexcept {
   return a0 / -slope;
 }
 
-/// Index into view.hull of the hull position holding pts-index `i`, or npos.
-std::size_t hull_position_of(const LocalView& view, std::size_t i) noexcept {
-  for (std::size_t k = 0; k < view.hull.size(); ++k) {
-    if (view.hull[k] == i) return k;
+/// Height cap for an insertion at `base` + h * `n` outside `gate` (length
+/// `len`): a quarter of the gate, and at most 0.45 of the height at which
+/// the point would leave the wedge bounded by the extensions of the hull
+/// edges adjacent to the gate (keeping c1 and c2 strict corners). A
+/// numerically flat corner gets a conservative nudge instead; the next
+/// cycle re-classifies and continues.
+double wedge_capped_height(const LocalView& view, const GateEdge& gate,
+                           Vec2 base, Vec2 n, double len) noexcept {
+  double h_wedge = std::numeric_limits<double>::infinity();
+  const std::size_t h = view.hull.size();
+  if (h >= 3) {
+    const Vec2 c0 = view.pts[view.hull[(gate.k + h - 1) % h]];
+    const Vec2 c3 = view.pts[view.hull[(gate.k + 2) % h]];
+    h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
+    // Constraint at c2: orient(p, c2, c3) > 0 == orient(c2, c3, p) > 0.
+    h_wedge = std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
   }
-  return static_cast<std::size_t>(-1);
+  double h_cap = 0.25 * len;
+  if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
+  if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
+  return h_cap;
 }
 
 }  // namespace
@@ -62,30 +77,8 @@ std::optional<Vec2> interior_insertion_target(const LocalView& view,
   const double t = 0.5 + std::atan(2.0 * (t_raw - 0.5)) / std::numbers::pi;
   const double lambda = 0.15 + 0.7 * t;
   const Vec2 base = gate.c1 + u * (lambda * len);
-
-  // Wedge constraints from the hull edges adjacent to the gate.
-  double h_wedge = std::numeric_limits<double>::infinity();
-  const std::size_t h = view.hull.size();
-  const std::size_t k1 = hull_position_of(view, gate.i1);
-  const std::size_t k2 = hull_position_of(view, gate.i2);
-  if (k1 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c0 = view.pts[view.hull[(k1 + h - 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
-  }
-  if (k2 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c3 = view.pts[view.hull[(k2 + 1) % h]];
-    // Constraint at c2: orient(p, c2, c3) > 0 == orient(c2, c3, p) > 0.
-    h_wedge = std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
-  }
-
-  double h_cap = 0.25 * len;
-  if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
-  if (h_cap <= len * 1e-12) {
-    // Degenerate wedge (numerically flat corner): conservative nudge; the
-    // next cycle re-classifies and continues.
-    h_cap = 0.05 * len;
-  }
-  const double height = h_cap * (0.4 + 0.5 * lambda);
+  const double height =
+      wedge_capped_height(view, gate, base, n, len) * (0.4 + 0.5 * lambda);
   return base + n * height;
 }
 
@@ -109,23 +102,8 @@ std::optional<Vec2> perpendicular_target(const LocalView& view,
   const double t_raw = geom::dot(from - gate.c1, u) / len;
   if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
   const Vec2 base = gate.c1 + u * (t_raw * len);
-
-  double h_wedge = std::numeric_limits<double>::infinity();
-  const std::size_t h = view.hull.size();
-  const std::size_t k1 = hull_position_of(view, gate.i1);
-  const std::size_t k2 = hull_position_of(view, gate.i2);
-  if (k1 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c0 = view.pts[view.hull[(k1 + h - 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
-  }
-  if (k2 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c3 = view.pts[view.hull[(k2 + 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
-  }
-  double h_cap = 0.25 * len;
-  if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
-  if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
-  const double height = h_cap * (0.4 + 0.5 * t_raw);
+  const double height =
+      wedge_capped_height(view, gate, base, n, len) * (0.4 + 0.5 * t_raw);
   return base + n * height;
 }
 
@@ -138,9 +116,7 @@ std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
   // Interior witness for outward orientation: the hull vertex mean is
   // strictly inside any convex polygon, and stays valid even when `from`
   // itself is outside the hull (a mid-flight rival being modelled).
-  Vec2 witness{};
-  for (const std::size_t k : view.hull) witness += view.pts[k];
-  witness = witness / static_cast<double>(h);
+  const Vec2 witness = hull_vertex_mean(view);
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
@@ -149,11 +125,12 @@ std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
         view.lights[i2] != model::Light::kCorner) {
       continue;
     }
-    const geom::Segment edge{view.pts[i1], view.pts[i2]};
-    GateEdge gate{i1, i2, edge.a, edge.b,
-                  geom::point_segment_distance(edge, from)};
+    // The band test inside perpendicular_target rejects most edges, so the
+    // edge distance is measured only for the ones that yield a plan.
+    GateEdge gate{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
     const auto target = perpendicular_target(view, gate, from, witness);
     if (!target) continue;
+    gate.distance = geom::point_segment_distance({gate.c1, gate.c2}, from);
     plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
   }
   std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {

@@ -93,7 +93,7 @@ std::optional<ExitPlan> fallback_plan(const LocalView& view) {
     const double d = geom::point_segment_distance(e, view.self());
     if (d < best_dist) {
       best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d};
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
     }
   }
   if (!best) return std::nullopt;
@@ -101,18 +101,6 @@ std::optional<ExitPlan> fallback_plan(const LocalView& view) {
   const auto target = interior_insertion_target(view, *best);
   if (!target) return std::nullopt;
   return ExitPlan{*best, *target, geom::distance(view.self(), *target)};
-}
-
-/// Distance from p to the nearest hull edge of the view — the shared scalar
-/// the fallback serialization orders rivals by.
-double nearest_edge_distance(const LocalView& view, geom::Vec2 p) {
-  const std::size_t h = view.hull.size();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
-    best = std::min(best, geom::point_segment_distance(e, p));
-  }
-  return best;
 }
 
 }  // namespace
@@ -184,11 +172,11 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         // so they run under global exclusivity: yield to every flight, and
         // among intents fly only as the robot strictly closest to the hull
         // boundary (a shared, frame-invariant total order).
-        const double own = nearest_edge_distance(view, view.self());
+        const double own = hull_edge_distance(view, view.self());
         for (std::size_t i = 1; i < view.pts.size(); ++i) {
           if (view.lights[i] == Light::kMoving) return Action::stay(Light::kTransit);
           if (view.lights[i] == Light::kTransit &&
-              nearest_edge_distance(view, view.pts[i]) <= own) {
+              hull_edge_distance(view, view.pts[i]) <= own) {
             return Action::stay(Light::kTransit);
           }
         }
@@ -207,14 +195,25 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
             geom::distance(view.pts[view.hull[k]],
                            view.pts[view.hull[(k + 1) % view.hull.size()]]));
       }
+      const Vec2 centre = hull_vertex_mean(view);
       for (std::size_t i = 1; i < view.pts.size(); ++i) {
         const Light light = view.lights[i];
         if (light != Light::kTransit && light != Light::kMoving) continue;
         const Vec2 rival = view.pts[i];
-        const double reach =
-            nearest_edge_distance(view, rival) + 0.25 * longest_edge;
         const double gap = geom::point_segment_distance(my_path, rival);
-        if (gap > reach + 0.1 * plan->exit_distance) continue;
+        // Skip iff out_of_reach(exact edge distance). Rounded addition is
+        // monotone, so out_of_reach falls as its argument grows: a rival
+        // that 0 (a lower bound) cannot skip is never skipped, and one that
+        // the O(log h) upper bound skips is always skipped; only the rest
+        // pay for the exact O(h) minimum.
+        const auto out_of_reach = [&](double edge_distance) {
+          return gap > edge_distance + 0.25 * longest_edge + 0.1 * plan->exit_distance;
+        };
+        if (out_of_reach(0.0) &&
+            (out_of_reach(hull_edge_distance_bound(view, centre, rival)) ||
+             out_of_reach(hull_edge_distance(view, rival)))) {
+          continue;
+        }
         // A robot in flight close to my intended path is a hazard no matter
         // what its (unknowable) destination is — yield on position alone.
         if (light == Light::kMoving &&

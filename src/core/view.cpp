@@ -4,8 +4,9 @@
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numbers>
 
 namespace lumen::core {
 
@@ -41,29 +42,62 @@ Role line_role(std::span<const Vec2> pts) {
   return (has_positive && has_negative) ? Role::kLine : Role::kLineEnd;
 }
 
-/// Result of minimizing point-to-edge distance over the hull boundary.
-struct NearestEdge {
-  std::size_t i1 = 0;
-  std::size_t i2 = 0;
-  geom::Segment edge{};
-  double dist = std::numeric_limits<double>::infinity();
-};
+/// True iff pts[0] is a strict vertex of the convex hull of `pts`, i.e.
+/// every point distinct from it lies in one open half-plane through it.
+/// O(m) and exact: a cone [right, left] around pts[0] (CCW, opening below
+/// pi) grows to take in each point; a point that would open it to pi or
+/// more — including one exactly opposite a degenerate cone's ray — proves
+/// pts[0] is not a strict vertex. Points equal to pts[0] are skipped, as
+/// convex_hull_indices drops them as duplicates of the lower index 0. The
+/// strict hull is unique, so this agrees with index 0 being in
+/// convex_hull_indices(pts).
+bool origin_is_strict_vertex(std::span<const Vec2> pts) {
+  const Vec2 o = pts[0];
+  const auto sign = [](double a, double b) { return (a > b) - (a < b); };
+  std::size_t right = 0;  // 0: no distinct point seen yet.
+  std::size_t left = 0;
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    const Vec2 p = pts[i];
+    if (p == o) continue;
+    if (right == 0) {
+      right = left = i;
+      continue;
+    }
+    const int o_right = geom::orient2d_inline(o, pts[right], p);
+    if (o_right < 0) {
+      // Clockwise of the cone: widen it to [p, left], if that stays below pi.
+      if (geom::orient2d_inline(o, p, pts[left]) <= 0) return false;
+      right = i;
+    } else if (geom::orient2d_inline(o, pts[left], p) > 0) {
+      // Counter-clockwise of the cone: widen it to [right, p].
+      if (geom::orient2d_inline(o, pts[right], p) <= 0) return false;
+      left = i;
+    } else if (right == left && o_right == 0) {
+      // On the line of a one-ray cone: in it iff on the same side of o
+      // (exact: the signs of coordinate differences are exact).
+      const Vec2 r = pts[right];
+      if (sign(p.x, o.x) != sign(r.x, o.x) || sign(p.y, o.y) != sign(r.y, o.y)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
-/// The hull edge nearest to `p` (ties keep the first edge in hull order).
-/// Shared by the gate search and the exit-path estimate so both agree on
-/// which edge a robot is heading for.
-std::optional<NearestEdge> scan_nearest_hull_edge(const LocalView& view, Vec2 p) {
+/// The hull edge nearest to `p` (ties keep the first edge in hull order);
+/// the one O(h) edge scan behind nearest_hull_edge and hull_edge_distance.
+std::optional<GateEdge> scan_nearest_hull_edge(const LocalView& view, Vec2 p) {
   const std::size_t h = view.hull.size();
   if (h < 3) return std::nullopt;
-  NearestEdge best;
+  GateEdge best;
+  best.distance = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, p);
-    if (d < best.dist) best = NearestEdge{i1, i2, e, d};
+    const double d = geom::point_segment_distance({view.pts[i1], view.pts[i2]}, p);
+    if (d < best.distance) best = GateEdge{i1, i2, view.pts[i1], view.pts[i2], d, k};
   }
-  if (!std::isfinite(best.dist)) return std::nullopt;
+  if (!std::isfinite(best.distance)) return std::nullopt;
   return best;
 }
 
@@ -84,38 +118,70 @@ LocalView build_view(const model::Snapshot& snap) {
   // within a relative tolerance (DESIGN.md §3, real-RAM substitution).
   if (geom::nearly_collinear(view.pts)) {
     view.role = line_role(view.pts);
-    view.hull = geom::convex_hull_indices(view.pts);
     return view;
   }
-  view.hull = geom::convex_hull_indices(view.pts);
-  if (std::find(view.hull.begin(), view.hull.end(), std::size_t{0}) != view.hull.end()) {
+  if (origin_is_strict_vertex(view.pts)) {
     view.role = Role::kCorner;
     return view;
   }
-  const auto hull_pts = view.hull_points();
-  const auto pos = geom::classify_against_hull(hull_pts, view.self());
-  view.role = pos == geom::HullPosition::kEdge ? Role::kSide : Role::kInterior;
+  // Not a strict vertex, and no hull vertex shares its position (a
+  // duplicate would have kept index 0 instead): the observer is on an
+  // edge's open interior (Side) or strictly inside.
+  view.hull = geom::convex_hull_indices(view.pts);
+  view.role = containing_hull_edge(view) ? Role::kSide : Role::kInterior;
   return view;
 }
 
 std::optional<GateEdge> nearest_hull_edge(const LocalView& view) {
-  const auto best = scan_nearest_hull_edge(view, view.self());
-  if (!best) return std::nullopt;
-  return GateEdge{best->i1, best->i2, best->edge.a, best->edge.b, best->dist};
+  return scan_nearest_hull_edge(view, view.self());
+}
+
+double hull_edge_distance(const LocalView& view, Vec2 p) {
+  const auto best = scan_nearest_hull_edge(view, p);
+  return best ? best->distance : std::numeric_limits<double>::infinity();
+}
+
+double hull_edge_distance_bound(const LocalView& view, Vec2 centre, Vec2 p) {
+  const std::size_t h = view.hull.size();
+  if (h < 3) return std::numeric_limits<double>::infinity();
+  // CCW turn from hull vertex 0 to q around `centre`, in [0, 2pi): rises
+  // along the hull for an interior centre. Rounding can only make the
+  // search land on a neighbouring edge, which is still a valid bound.
+  const Vec2 ray0 = view.pts[view.hull[0]] - centre;
+  const auto turn = [&](Vec2 q) {
+    const Vec2 d = q - centre;
+    const double a = std::atan2(geom::cross(ray0, d), geom::dot(ray0, d));
+    return a < 0.0 ? a + 2.0 * std::numbers::pi : a;
+  };
+  const double target = turn(p);
+  std::size_t lo = 0;  // Last hull position whose turn is <= target.
+  std::size_t hi = h;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (turn(view.pts[view.hull[mid]]) <= target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return geom::point_segment_distance(
+      {view.pts[view.hull[lo]], view.pts[view.hull[(lo + 1) % h]]}, p);
+}
+
+Vec2 hull_vertex_mean(const LocalView& view) {
+  Vec2 mean{};
+  for (const std::size_t i : view.hull) mean += view.pts[i];
+  return mean / static_cast<double>(view.hull.size());
 }
 
 std::optional<GateEdge> containing_hull_edge(const LocalView& view) {
   const std::size_t h = view.hull.size();
-  if (h < 2) return std::nullopt;
-  // A degenerate 2-point hull bounds exactly one edge; a proper polygon has
-  // one edge per vertex (the wrap-around closes it).
-  const std::size_t edge_count = h == 2 ? 1 : h;
   const Vec2 self = view.self();
-  for (std::size_t k = 0; k < edge_count; ++k) {
+  for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
     if (geom::on_segment_open(view.pts[i1], view.pts[i2], self)) {
-      return GateEdge{i1, i2, view.pts[i1], view.pts[i2], 0.0};
+      return GateEdge{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
     }
   }
   return std::nullopt;
@@ -136,59 +202,6 @@ bool gate_blocked_by_closer_robot(const LocalView& view, const GateEdge& gate) {
     if (o2 != o1) continue;
     const int o3 = geom::orient2d_inline(gate.c2, a, p);
     if (o3 == o1) return true;
-  }
-  return false;
-}
-
-bool gate_is_nearest_edge_for(const LocalView& view, const GateEdge& gate,
-                              geom::Vec2 p) {
-  const geom::Segment edge{gate.c1, gate.c2};
-  const double d_here = geom::point_segment_distance(edge, p);
-  const std::size_t h = view.hull.size();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if ((i1 == gate.i1 && i2 == gate.i2) || (i1 == gate.i2 && i2 == gate.i1)) continue;
-    const geom::Segment other{view.pts[i1], view.pts[i2]};
-    if (geom::point_segment_distance(other, p) < d_here) return false;
-  }
-  return true;
-}
-
-bool gate_has_transit_traffic(const LocalView& view, const GateEdge& gate) {
-  for (std::size_t i = 1; i < view.pts.size(); ++i) {
-    if (view.lights[i] != model::Light::kTransit) continue;
-    // A Transit robot is relevant when this gate edge is the hull edge
-    // nearest to it (it is inserting here), measured in the observer's view.
-    if (gate_is_nearest_edge_for(view, gate, view.pts[i])) return true;
-  }
-  return false;
-}
-
-std::optional<geom::Segment> estimated_exit_path(const LocalView& view,
-                                                 geom::Vec2 p) {
-  const auto best = scan_nearest_hull_edge(view, p);
-  if (!best) return std::nullopt;
-  const geom::Segment best_edge = best->edge;
-  const geom::Vec2 foot = geom::closest_point_on_segment(best_edge, p);
-  const geom::Vec2 out = foot - p;
-  const double out_len = geom::norm(out);
-  const double overshoot = 0.15 * best_edge.length();
-  if (out_len <= 0.0) {
-    // p sits on the edge; a popper exits perpendicular by the overshoot.
-    const geom::Vec2 u = geom::normalized(best_edge.b - best_edge.a);
-    return geom::Segment{p, p + geom::perp(u) * overshoot};
-  }
-  return geom::Segment{p, foot + (out / out_len) * overshoot};
-}
-
-bool transit_within(const LocalView& view, double radius) {
-  const double r_sq = radius * radius;
-  for (std::size_t i = 1; i < view.pts.size(); ++i) {
-    if (view.lights[i] == model::Light::kTransit &&
-        geom::distance_sq(view.self(), view.pts[i]) <= r_sq) {
-      return true;
-    }
   }
   return false;
 }

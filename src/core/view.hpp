@@ -44,7 +44,11 @@ enum class Role {
 struct LocalView {
   std::span<const geom::Vec2> pts;     ///< Observer first, then visible robots.
   std::span<const model::Light> lights;  ///< Parallel to pts.
-  std::vector<std::size_t> hull;       ///< CCW strict-vertex indices into pts.
+  /// CCW strict-vertex indices into pts (geom::convex_hull_indices). Built
+  /// only for kSide and kInterior views, the only roles whose rules read
+  /// it; EMPTY for kCorner (decided without a hull), kLine, kLineEnd and
+  /// kAlone.
+  std::vector<std::size_t> hull;
   Role role = Role::kAlone;
 
   [[nodiscard]] std::size_t count() const noexcept { return pts.size(); }
@@ -56,6 +60,9 @@ struct LocalView {
 
 /// Builds the digest from a snapshot. The returned view aliases `snap`'s
 /// position and light storage; keep the snapshot alive while using it.
+/// kCorner is decided by an O(m) exact test (every other visible point lies
+/// in one open half-plane through the observer), so Corner views — most
+/// Looks — never pay for the O(m log m) hull.
 [[nodiscard]] LocalView build_view(const model::Snapshot& snap);
 
 /// A gate: a hull edge through which an interior/side robot exits.
@@ -65,11 +72,30 @@ struct GateEdge {
   geom::Vec2 c1{};
   geom::Vec2 c2{};
   double distance = 0.0;  ///< Observer's distance to the closed edge.
+  /// Hull position of i1: view.hull[k] == i1, view.hull[(k + 1) % h] == i2.
+  std::size_t k = 0;
 };
 
 /// The hull edge nearest to the observer (its gate candidate).
 /// Empty when the view has no 2-D hull (fewer than 3 hull vertices).
 [[nodiscard]] std::optional<GateEdge> nearest_hull_edge(const LocalView& view);
+
+/// Exact distance from `p` to the nearest hull edge — an O(h) scan over
+/// the same edges nearest_hull_edge compares. +inf without a 2-D hull.
+[[nodiscard]] double hull_edge_distance(const LocalView& view, geom::Vec2 p);
+
+/// An upper bound on hull_edge_distance(view, p) in O(log h): the distance
+/// from `p` to the one hull edge whose angular sector around `centre` (an
+/// interior point, e.g. the hull-vertex mean) holds `p`. It is the very
+/// double the exact scan computes for that edge, so it is never below the
+/// exact minimum, whichever edge the search lands on. +inf without a 2-D
+/// hull.
+[[nodiscard]] double hull_edge_distance_bound(const LocalView& view,
+                                              geom::Vec2 centre, geom::Vec2 p);
+
+/// Mean of the hull vertices: an interior point of any 2-D hull (up to
+/// rounding), used to orient edge normals and to centre angular searches.
+[[nodiscard]] geom::Vec2 hull_vertex_mean(const LocalView& view);
 
 /// The hull edge whose open relative interior contains the observer — the
 /// Side robot's own edge. Empty when the observer is not a Side robot.
@@ -80,27 +106,5 @@ struct GateEdge {
 /// must defer.
 [[nodiscard]] bool gate_blocked_by_closer_robot(const LocalView& view,
                                                 const GateEdge& gate);
-
-/// True iff `gate` is the hull edge of `view` nearest to point `p` — the
-/// "p is working this gate" relation used by the beacon handshake.
-[[nodiscard]] bool gate_is_nearest_edge_for(const LocalView& view,
-                                            const GateEdge& gate, geom::Vec2 p);
-
-/// True iff a visible Transit-lit robot is "at" this gate: its nearest hull
-/// edge is the same edge, or it already lies strictly outside the hull
-/// beyond it. The mover's mutual-exclusion test.
-[[nodiscard]] bool gate_has_transit_traffic(const LocalView& view,
-                                            const GateEdge& gate);
-
-/// True iff any visible Transit-lit robot is within `radius` of the
-/// observer (the proximity guard against adjacent-gate path overlap).
-[[nodiscard]] bool transit_within(const LocalView& view, double radius);
-
-/// Best-effort estimate of the exit path a robot at `p` is about to take:
-/// the segment from p to just outside its nearest hull edge (perpendicular
-/// approach). Used by movers to test their own path against Transit rivals'
-/// presumed paths. Empty when the view has no 2-D hull.
-[[nodiscard]] std::optional<geom::Segment> estimated_exit_path(
-    const LocalView& view, geom::Vec2 p);
 
 }  // namespace lumen::core

@@ -1,12 +1,16 @@
 // LocalView tests: the classification soundness lemma (local role == global
-// role under obstructed visibility), gate selection, and handshake
-// predicates.
+// role under obstructed visibility), the O(m) corner test against the exact
+// hull, gate selection, and the hull-edge distance and its upper bound.
 #include "core/view.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
+#include "geom/segment.hpp"
 #include "model/snapshot.hpp"
 #include "util/prng.hpp"
 
@@ -36,6 +40,35 @@ OwnedView view_of(const std::vector<Vec2>& world, const std::vector<Light>& ligh
 
 OwnedView view_of(const std::vector<Vec2>& world, std::size_t observer) {
   return view_of(world, std::vector<Light>(world.size(), Light::kOff), observer);
+}
+
+/// A view of hand-placed LOCAL points: the observer at the origin, then
+/// `others` in order, with no frame or visibility in between.
+OwnedView local_view(const std::vector<Vec2>& others) {
+  OwnedView v;
+  v.snap.reset(Light::kOff);
+  for (const Vec2 p : others) v.snap.push_visible(p, Light::kCorner);
+  static_cast<LocalView&>(v) = build_view(v.snap);
+  return v;
+}
+
+bool is_line_role(Role r) {
+  return r == Role::kAlone || r == Role::kLine || r == Role::kLineEnd;
+}
+
+/// The corner test's contract against the exact hull of the same points:
+/// kCorner iff index 0 is a strict hull vertex, and every non-corner view
+/// carries exactly that hull. Line roles are decided before either.
+void expect_matches_exact_hull(const LocalView& view, const std::string& what) {
+  if (is_line_role(view.role)) return;
+  const auto hull = geom::convex_hull_indices(view.pts);
+  const bool vertex = std::find(hull.begin(), hull.end(), std::size_t{0}) != hull.end();
+  EXPECT_EQ(view.role == Role::kCorner, vertex) << what;
+  if (view.role == Role::kCorner) {
+    EXPECT_TRUE(view.hull.empty()) << what;
+  } else {
+    EXPECT_EQ(view.hull, hull) << what;
+  }
 }
 
 TEST(BuildView, AloneAndPair) {
@@ -85,6 +118,131 @@ TEST(BuildView, LineRoleSurvivesRandomFrames) {
     const auto view = build_view(snap);
     EXPECT_EQ(view.role, Role::kLine) << "trial " << trial;
   }
+}
+
+TEST(CornerTest, OppositePointsThroughTheOrigin) {
+  // Exactly opposite as the first two points (a one-ray cone) ...
+  auto v = local_view({{1, 0}, {-1, 0}, {0, 1}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "opposite first");
+  // ... and opposite the right ray of an already open cone.
+  v = local_view({{1, 1}, {0, 1}, {-1, -1}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "opposite after widening");
+  v = local_view({{0, 1}, {1, 1}, {-2, -2}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "opposite the left ray");
+}
+
+TEST(CornerTest, SeveralPointsOnOneRay) {
+  auto v = local_view({{1, 0}, {2, 0}, {3, 0}, {0, 1}});
+  EXPECT_EQ(v.role, Role::kCorner);
+  expect_matches_exact_hull(v, "ray then widen");
+  v = local_view({{1, 1}, {2, 2}, {3, 3}, {1, 0}, {4, 4}});
+  EXPECT_EQ(v.role, Role::kCorner);
+  expect_matches_exact_hull(v, "ray, widen, ray again");
+  v = local_view({{1, 1}, {2, 2}, {-0.5, -0.5}, {1, 0}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "ray and its opposite");
+  v = local_view({{1, 0}, {2, 0}, {-3, 0}, {0, 1}, {0, 2}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "two opposite rays");
+}
+
+TEST(CornerTest, OriginOnAHullEdge) {
+  auto v = local_view({{-1, 0}, {1, 0}, {1, 2}, {-1, 2}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "bottom edge midpoint");
+  // The cone closes to exactly pi only at the last point.
+  v = local_view({{1, 2}, {-1, 2}, {1, 0}, {-3, 0}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "edge found last");
+}
+
+TEST(CornerTest, PointThatRoundsOntoTheOrigin) {
+  // A distinct world point whose local image underflows to the origin: the
+  // corner test skips it, as the hull drops it as a duplicate of index 0.
+  const model::LocalFrame frame{{0, 0}, 0.0, 0.25, false};
+  const Vec2 tiny = frame.to_local({std::numeric_limits<double>::denorm_min(), 0.0});
+  ASSERT_EQ(tiny, (Vec2{}));
+  auto v = local_view({tiny, {1, 0}, {0, 1}});
+  EXPECT_EQ(v.role, Role::kCorner);
+  expect_matches_exact_hull(v, "duplicate at a corner");
+  v = local_view({{1, 0}, Vec2{-0.0, 0.0}, {0, 1}, {-1, 0}});
+  EXPECT_EQ(v.role, Role::kSide);
+  expect_matches_exact_hull(v, "negative-zero duplicate on an edge");
+  v = local_view({{1, 0}, {0, 1}, tiny, {-1, -1}, {0, 0}});
+  EXPECT_EQ(v.role, Role::kInterior);
+  expect_matches_exact_hull(v, "duplicates inside");
+}
+
+TEST(CornerTest, NearlyCollinearViews) {
+  // Genuinely 2-D, but only just: offsets far above nearly_collinear's
+  // tolerance and far below the coordinates, so orientations rest on the
+  // exact stage of orient2d.
+  util::Prng rng{11};
+  int checked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const double offset = trial % 2 == 0 ? 1e-7 : 3e-9;
+    const Vec2 dir{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    std::vector<Vec2> others;
+    const std::size_t m = 2 + rng.next_below(6);
+    for (std::size_t k = 0; k < m; ++k) {
+      const double t = rng.uniform(-3, 3);
+      const double side = rng.uniform(-1, 1) < 0 ? -offset : offset;
+      others.push_back(dir * t + geom::perp(dir) * (side * rng.uniform(0, 1)));
+    }
+    const auto v = local_view(others);
+    expect_matches_exact_hull(v, "trial " + std::to_string(trial));
+    checked += is_line_role(v.role) ? 0 : 1;
+  }
+  EXPECT_GE(checked, 200);
+}
+
+TEST(CornerTest, SmallLatticeViews) {
+  // Lattice points make exact collinearity, opposite pairs and duplicates of
+  // the origin common — the cases where an inexact test would slip.
+  util::Prng rng{3};
+  int corners = 0;
+  int others_seen = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<Vec2> others;
+    const std::size_t m = 2 + rng.next_below(6);
+    for (std::size_t k = 0; k < m; ++k) {
+      others.push_back({static_cast<double>(rng.next_below(5)) - 2.0,
+                        static_cast<double>(rng.next_below(5)) - 2.0});
+    }
+    const auto v = local_view(others);
+    expect_matches_exact_hull(v, "trial " + std::to_string(trial));
+    if (v.role == Role::kCorner) ++corners;
+    if (v.role == Role::kSide || v.role == Role::kInterior) ++others_seen;
+  }
+  EXPECT_GE(corners, 300);
+  EXPECT_GE(others_seen, 300);
+}
+
+TEST(CornerTest, RandomViewsUnderRandomFrames) {
+  util::Prng rng{17};
+  int corners = 0;
+  int others_seen = 0;
+  for (const auto family : {gen::ConfigFamily::kUniformDisk, gen::ConfigFamily::kGrid,
+                            gen::ConfigFamily::kRingWithCore,
+                            gen::ConfigFamily::kDenseDiameter}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto world = gen::generate(family, 48, seed);
+      const std::vector<Light> lights(world.size(), Light::kOff);
+      for (std::size_t i = 0; i < world.size(); ++i) {
+        const auto frame = model::LocalFrame::random(world[i], rng);
+        const auto snap = model::build_snapshot(world, lights, i, frame);
+        const auto view = build_view(snap);
+        expect_matches_exact_hull(view, "robot " + std::to_string(i));
+        if (view.role == Role::kCorner) ++corners;
+        if (view.role == Role::kSide || view.role == Role::kInterior) ++others_seen;
+      }
+    }
+  }
+  EXPECT_GE(corners, 100);
+  EXPECT_GE(others_seen, 100);
 }
 
 // The classification soundness lemma: despite obstruction, a robot's LOCAL
@@ -153,6 +311,11 @@ TEST(GateSelection, NearestHullEdge) {
   // observer-centered frame).
   EXPECT_NEAR(gate->c1.y, -1.0, 1e-9);
   EXPECT_NEAR(gate->c2.y, -1.0, 1e-9);
+  // The gate carries its hull position.
+  const std::size_t h = view.hull.size();
+  EXPECT_EQ(view.hull[gate->k], gate->i1);
+  EXPECT_EQ(view.hull[(gate->k + 1) % h], gate->i2);
+  EXPECT_EQ(hull_edge_distance(view, view.self()), gate->distance);
 }
 
 TEST(GateSelection, ContainingEdgeForSideRobot) {
@@ -184,38 +347,76 @@ TEST(GateBlocking, EmptyTriangleDoesNotBlock) {
   EXPECT_FALSE(gate_blocked_by_closer_robot(view, *gate));
 }
 
-TEST(TransitPredicates, TrafficAndProximity) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  std::vector<Light> lights(world.size(), Light::kCorner);
-  lights[0] = Light::kInterior;
-  lights[4] = Light::kTransit;
-  const auto view = view_of(world, lights, 0);
-  const auto gate = nearest_hull_edge(view);
-  ASSERT_TRUE(gate.has_value());
-  // The Transit robot at (5,1.5) is nearest to the bottom edge (the
-  // observer's gate): traffic.
-  EXPECT_TRUE(gate_has_transit_traffic(view, *gate));
-  EXPECT_TRUE(transit_within(view, 3.0));
-  EXPECT_FALSE(transit_within(view, 1.0));
+TEST(HullEdgeDistanceBound, NeverBelowTheExactMinimum) {
+  // Points inside, on and outside random convex hulls, with the search
+  // centred on the hull-vertex mean and on a poor centre (a hull vertex).
+  util::Prng rng{23};
+  int checked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 3 + rng.next_below(40);
+    std::vector<Vec2> pts;
+    for (std::size_t k = 0; k < n; ++k) {
+      pts.push_back({rng.uniform(-10, 10), rng.uniform(-4, 4)});
+    }
+    LocalView view;
+    view.pts = pts;
+    view.hull = geom::convex_hull_indices(pts);
+    const std::size_t h = view.hull.size();
+    if (h < 3) continue;
+    const Vec2 mean = hull_vertex_mean(view);
+    std::vector<Vec2> queries = {mean};
+    for (std::size_t k = 0; k < h; ++k) {
+      const Vec2 a = pts[view.hull[k]];
+      const Vec2 b = pts[view.hull[(k + 1) % h]];
+      queries.push_back(a);                                      // On: a vertex.
+      queries.push_back(geom::lerp(a, b, rng.uniform(0, 1)));    // On: an edge.
+      queries.push_back(geom::lerp(mean, a, rng.uniform(0, 1)));  // Inside.
+      queries.push_back(mean + (a - mean) * rng.uniform(1.01, 6));  // Outside.
+    }
+    for (std::size_t q = 0; q < 8; ++q) {
+      queries.push_back({rng.uniform(-100, 100), rng.uniform(-100, 100)});
+    }
+    for (const Vec2 centre : {mean, pts[view.hull[0]], pts[view.hull[h / 2]]}) {
+      for (const Vec2 p : queries) {
+        const double exact = hull_edge_distance(view, p);
+        const double bound = hull_edge_distance_bound(view, centre, p);
+        ASSERT_GE(bound, exact) << "trial " << trial;
+        // The bound is the distance to an actual hull edge.
+        bool is_edge_distance = false;
+        for (std::size_t k = 0; k < h && !is_edge_distance; ++k) {
+          is_edge_distance = geom::point_segment_distance(
+                                 {pts[view.hull[k]], pts[view.hull[(k + 1) % h]]}, p) == bound;
+        }
+        EXPECT_TRUE(is_edge_distance) << "trial " << trial;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 10000);
 }
 
-TEST(TransitPredicates, NoTrafficWithoutTransitLights) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  const auto view = view_of(world, 0);
-  const auto gate = nearest_hull_edge(view);
-  ASSERT_TRUE(gate.has_value());
-  EXPECT_FALSE(gate_has_transit_traffic(view, *gate));
-  EXPECT_FALSE(transit_within(view, 100.0));
+TEST(HullEdgeDistanceBound, FindsTheSectorEdgeOfASquare) {
+  // Centred in a square, the angular search lands on the edge facing p.
+  const std::vector<Vec2> pts = {{0, 0}, {4, 0}, {4, 4}, {0, 4}};
+  LocalView view;
+  view.pts = pts;
+  view.hull = geom::convex_hull_indices(pts);
+  const Vec2 centre = hull_vertex_mean(view);
+  EXPECT_EQ(centre, (Vec2{2, 2}));
+  EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {2, 0.5}), 0.5);
+  EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {3.75, 2}), 0.25);
+  EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {2, 7}), 3.0);
+  EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {-1, 2.5}), 1.0);
 }
 
-TEST(EstimatedExitPath, PointsOutward) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  const auto view = view_of(world, 0);
-  // Robot 4 at local (0, -1.5): its nearest edge is the bottom (local
-  // y = -3); the estimated exit path must end strictly below it.
-  const auto path = estimated_exit_path(view, Vec2{0, -1.5});
-  ASSERT_TRUE(path.has_value());
-  EXPECT_LT(path->b.y, -3.0 + 1e-9);
+TEST(HullEdgeDistanceBound, InfiniteWithoutATwoDimensionalHull) {
+  LocalView view;
+  const std::vector<Vec2> pts = {{0, 0}, {1, 0}};
+  view.pts = pts;
+  view.hull = {0, 1};
+  EXPECT_EQ(hull_edge_distance(view, {0, 1}), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(hull_edge_distance_bound(view, {0.5, 0}, {0, 1}),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(LocalViewAccessors, HullPointsMatchIndices) {
