@@ -2,11 +2,8 @@
 
 #include "core/beacon.hpp"
 #include "core/view.hpp"
-#include "geom/hull.hpp"
-#include "geom/segment.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace lumen::core {
 
@@ -35,28 +32,6 @@ bool is_unique_candidate(const LocalView& view) {
     if (hull_edge_distance(view, view.pts[i]) <= own) return false;
   }
   return true;
-}
-
-std::optional<GateEdge> nearest_corner_lit_edge(const LocalView& view) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  std::optional<GateEdge> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;
-    if (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner) {
-      continue;
-    }
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, view.self());
-    if (d < best_dist) {
-      best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d, k};
-    }
-  }
-  return best;
 }
 
 }  // namespace
@@ -95,7 +70,7 @@ Action SequentialAsyncBaseline::compute(const model::Snapshot& snap) const {
         return Action::stay(Light::kInterior);
       }
       if (!is_unique_candidate(view)) return Action::stay(Light::kInterior);
-      const auto gate = nearest_corner_lit_edge(view);
+      const auto gate = nearest_corner_lit_gate(view);
       if (!gate) return Action::stay(Light::kInterior);
       if (gate_blocked_by_closer_robot(view, *gate)) {
         return Action::stay(Light::kInterior);

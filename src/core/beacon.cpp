@@ -107,7 +107,20 @@ std::optional<Vec2> perpendicular_target(const LocalView& view,
   return base + n * height;
 }
 
+/// An ASYNC gate: not incident to the observer (its own vertex cannot
+/// anchor a gate), and both endpoints Corner-lit.
+bool corner_lit_gate(const LocalView& view, std::size_t i1, std::size_t i2) {
+  return i1 != 0 && i2 != 0 && view.lights[i1] == model::Light::kCorner &&
+         view.lights[i2] == model::Light::kCorner;
+}
+
 }  // namespace
+
+std::optional<GateEdge> nearest_corner_lit_gate(const LocalView& view) {
+  return scan_nearest_hull_edge(view, view.self(), [&](std::size_t i1, std::size_t i2) {
+    return corner_lit_gate(view, i1, i2);
+  });
+}
 
 std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
   std::vector<ExitPlan> plans;
@@ -120,11 +133,7 @@ std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;  // Own vertex cannot anchor a gate.
-    if (view.lights[i1] != model::Light::kCorner ||
-        view.lights[i2] != model::Light::kCorner) {
-      continue;
-    }
+    if (!corner_lit_gate(view, i1, i2)) continue;
     // The band test inside perpendicular_target rejects most edges, so the
     // edge distance is measured only for the ones that yield a plan.
     GateEdge gate{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};

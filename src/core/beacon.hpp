@@ -49,6 +49,11 @@ struct ExitPlan {
 [[nodiscard]] std::vector<ExitPlan> plan_exits(const LocalView& view,
                                                geom::Vec2 from);
 
+/// The nearest hull edge not incident to the observer whose endpoints are
+/// both Corner-lit: the gate of the ASYNC fallback insertion and of the
+/// sequential baseline (scan_nearest_hull_edge with that filter).
+[[nodiscard]] std::optional<GateEdge> nearest_corner_lit_gate(const LocalView& view);
+
 /// Pop-out point for a SIDE observer sitting on `gate`'s open interior:
 /// straight out along the edge's outward normal (a perpendicular path, so
 /// same-edge poppers move in parallel), with a height that (a) stays small

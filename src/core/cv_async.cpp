@@ -63,7 +63,7 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view,
     bool clear = true;
     for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
       if (i == subject || i == plan.gate.i1 || i == plan.gate.i2) continue;
-      if (geom::point_segment_distance(path, view.pts[i]) <= corridor) {
+      if (geom::point_segment_distance_within(path, view.pts[i], corridor) <= corridor) {
         clear = false;
       }
     }
@@ -78,24 +78,7 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view,
 /// gate. Diagonal paths are not modellable by rivals, so fallback flights
 /// are serialized globally by the caller.
 std::optional<ExitPlan> fallback_plan(const LocalView& view) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  std::optional<GateEdge> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;
-    if (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner) {
-      continue;
-    }
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, view.self());
-    if (d < best_dist) {
-      best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d, k};
-    }
-  }
+  const auto best = nearest_corner_lit_gate(view);
   if (!best) return std::nullopt;
   if (gate_blocked_by_closer_robot(view, *best)) return std::nullopt;
   const auto target = interior_insertion_target(view, *best);
@@ -216,9 +199,9 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         }
         // A robot in flight close to my intended path is a hazard no matter
         // what its (unknowable) destination is — yield on position alone.
+        const double hazard = 0.03 * plan->exit_distance;
         if (light == Light::kMoving &&
-            geom::point_segment_distance(geom::Segment{view.self(), plan->target},
-                                         rival) <= 0.03 * plan->exit_distance) {
+            geom::point_segment_distance_within(my_path, rival, hazard) <= hazard) {
           return Action::stay(Light::kTransit);
         }
         // Model the rival with the SAME planner the rival itself runs, so

@@ -2,9 +2,6 @@
 
 #include "core/beacon.hpp"
 #include "core/view.hpp"
-#include "geom/segment.hpp"
-
-#include <limits>
 
 namespace lumen::core {
 
@@ -17,22 +14,9 @@ namespace {
 /// algorithm, endpoints need not be Corner-lit: atomic rounds make hull
 /// vertices trustworthy anchors by themselves.
 std::optional<GateEdge> nearest_gate(const LocalView& view) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  std::optional<GateEdge> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, view.self());
-    if (d < best_dist) {
-      best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d, k};
-    }
-  }
-  return best;
+  return scan_nearest_hull_edge(view, view.self(), [](std::size_t i1, std::size_t i2) {
+    return i1 != 0 && i2 != 0;
+  });
 }
 
 }  // namespace

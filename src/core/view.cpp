@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numbers>
 
 namespace lumen::core {
 
@@ -84,22 +83,8 @@ bool origin_is_strict_vertex(std::span<const Vec2> pts) {
   return true;
 }
 
-/// The hull edge nearest to `p` (ties keep the first edge in hull order);
-/// the one O(h) edge scan behind nearest_hull_edge and hull_edge_distance.
-std::optional<GateEdge> scan_nearest_hull_edge(const LocalView& view, Vec2 p) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  GateEdge best;
-  best.distance = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    const double d = geom::point_segment_distance({view.pts[i1], view.pts[i2]}, p);
-    if (d < best.distance) best = GateEdge{i1, i2, view.pts[i1], view.pts[i2], d, k};
-  }
-  if (!std::isfinite(best.distance)) return std::nullopt;
-  return best;
-}
+/// scan_nearest_hull_edge's filter for questions about the whole hull.
+constexpr auto kEveryEdge = [](std::size_t, std::size_t) { return true; };
 
 }  // namespace
 
@@ -133,25 +118,30 @@ LocalView build_view(const model::Snapshot& snap) {
 }
 
 std::optional<GateEdge> nearest_hull_edge(const LocalView& view) {
-  return scan_nearest_hull_edge(view, view.self());
+  return scan_nearest_hull_edge(view, view.self(), kEveryEdge);
 }
 
 double hull_edge_distance(const LocalView& view, Vec2 p) {
-  const auto best = scan_nearest_hull_edge(view, p);
+  const auto best = scan_nearest_hull_edge(view, p, kEveryEdge);
   return best ? best->distance : std::numeric_limits<double>::infinity();
 }
 
 double hull_edge_distance_bound(const LocalView& view, Vec2 centre, Vec2 p) {
   const std::size_t h = view.hull.size();
   if (h < 3) return std::numeric_limits<double>::infinity();
-  // CCW turn from hull vertex 0 to q around `centre`, in [0, 2pi): rises
-  // along the hull for an interior centre. Rounding can only make the
-  // search land on a neighbouring edge, which is still a valid bound.
+  // CCW turn from hull vertex 0 to q around `centre`, as the diamond
+  // pseudo-angle of (dot, cross) in [0, 4): no atan2, and it rises along
+  // the hull for an interior centre just as the angle does. Rounding can
+  // only make the search land on a neighbouring edge, which is still a
+  // valid bound (the result is the scan's own double for that edge).
   const Vec2 ray0 = view.pts[view.hull[0]] - centre;
   const auto turn = [&](Vec2 q) {
     const Vec2 d = q - centre;
-    const double a = std::atan2(geom::cross(ray0, d), geom::dot(ray0, d));
-    return a < 0.0 ? a + 2.0 * std::numbers::pi : a;
+    const double x = geom::dot(ray0, d);
+    const double y = geom::cross(ray0, d);
+    if (x == 0.0 && y == 0.0) return 0.0;
+    if (y >= 0.0) return x >= 0.0 ? y / (x + y) : 1.0 - x / (y - x);
+    return x < 0.0 ? 2.0 - y / (-x - y) : 3.0 + x / (x - y);
   };
   const double target = turn(p);
   std::size_t lo = 0;  // Last hull position whose turn is <= target.

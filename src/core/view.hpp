@@ -21,6 +21,7 @@
 #include "model/snapshot.hpp"
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -75,6 +76,34 @@ struct GateEdge {
   /// Hull position of i1: view.hull[k] == i1, view.hull[(k + 1) % h] == i2.
   std::size_t k = 0;
 };
+
+/// The hull edge nearest to `p` among the edges (i1, i2) that `keep`
+/// accepts: the one O(h) edge scan behind every nearest-edge question
+/// (nearest_hull_edge, hull_edge_distance, the algorithms' gate choices).
+/// Hull order with a strict `<`, so ties keep the first edge. Each edge
+/// goes through geom::point_segment_distance_within against the best so
+/// far, so edges certified farther skip hypot. Empty without a 2-D hull
+/// (fewer than 3 hull vertices) or when no kept edge is at finite distance.
+template <class Keep>
+[[nodiscard]] std::optional<GateEdge> scan_nearest_hull_edge(const LocalView& view,
+                                                             geom::Vec2 p, Keep keep) {
+  const std::size_t h = view.hull.size();
+  if (h < 3) return std::nullopt;
+  std::optional<GateEdge> best;
+  double best_distance = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t i1 = view.hull[k];
+    const std::size_t i2 = view.hull[(k + 1) % h];
+    if (!keep(i1, i2)) continue;
+    const geom::Segment e{view.pts[i1], view.pts[i2]};
+    const double d = geom::point_segment_distance_within(e, p, best_distance);
+    if (d < best_distance) {
+      best_distance = d;
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
+    }
+  }
+  return best;
+}
 
 /// The hull edge nearest to the observer (its gate candidate).
 /// Empty when the view has no 2-D hull (fewer than 3 hull vertices).

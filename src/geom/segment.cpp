@@ -1,6 +1,5 @@
 #include "geom/segment.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace lumen::geom {
@@ -101,21 +100,6 @@ std::optional<Vec2> crossing_point(const Segment& s, const Segment& t) noexcept 
   if (denom == 0.0) return std::nullopt;  // Unreachable after classification.
   const double u = cross(t.a - s.a, q) / denom;
   return s.a + r * u;
-}
-
-double project_onto_segment(const Segment& s, Vec2 p) noexcept {
-  const Vec2 d = s.b - s.a;
-  const double len_sq = norm_sq(d);
-  if (len_sq == 0.0) return 0.0;
-  return std::clamp(dot(p - s.a, d) / len_sq, 0.0, 1.0);
-}
-
-Vec2 closest_point_on_segment(const Segment& s, Vec2 p) noexcept {
-  return lerp(s.a, s.b, project_onto_segment(s, p));
-}
-
-double point_segment_distance(const Segment& s, Vec2 p) noexcept {
-  return distance(p, closest_point_on_segment(s, p));
 }
 
 double segment_segment_distance(const Segment& s, const Segment& t) noexcept {

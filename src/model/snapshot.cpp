@@ -41,10 +41,13 @@ void fill_snapshot(std::span<const double> xs, std::span<const double> ys,
                    std::span<const std::size_t> visible_ids,
                    const LocalFrame& frame, Snapshot& out) {
   out.reset(lights[observer]);
-  out.positions.reserve(visible_ids.size() + 1);
-  out.lights.reserve(visible_ids.size() + 1);
-  for (const std::size_t j : visible_ids) {
-    out.push_visible(frame.to_local(geom::Vec2{xs[j], ys[j]}), lights[j]);
+  // Sized once and written by index: no per-robot capacity checks.
+  out.positions.resize(visible_ids.size() + 1);
+  out.lights.resize(visible_ids.size() + 1);
+  for (std::size_t k = 0; k < visible_ids.size(); ++k) {
+    const std::size_t j = visible_ids[k];
+    out.positions[k + 1] = frame.to_local(geom::Vec2{xs[j], ys[j]});
+    out.lights[k + 1] = lights[j];
   }
 }
 

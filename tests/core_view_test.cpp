@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
@@ -347,6 +349,23 @@ TEST(GateBlocking, EmptyTriangleDoesNotBlock) {
   EXPECT_FALSE(gate_blocked_by_closer_robot(view, *gate));
 }
 
+/// The bound's contract at one query: a number (never NaN) no smaller
+/// than the exact minimum over the hull edges.
+void expect_valid_bound(const LocalView& view, Vec2 centre, Vec2 p, const std::string& what) {
+  const double bound = hull_edge_distance_bound(view, centre, p);
+  ASSERT_FALSE(std::isnan(bound)) << what;
+  ASSERT_GE(bound, hull_edge_distance(view, p)) << what;
+}
+
+/// A bare view of `pts` with their strict hull. It borrows `pts`, which
+/// must outlive it.
+LocalView hull_view(const std::vector<Vec2>& pts) {
+  LocalView view;
+  view.pts = pts;
+  view.hull = geom::convex_hull_indices(pts);
+  return view;
+}
+
 TEST(HullEdgeDistanceBound, NeverBelowTheExactMinimum) {
   // Points inside, on and outside random convex hulls, with the search
   // centred on the hull-vertex mean and on a poor centre (a hull vertex).
@@ -358,9 +377,7 @@ TEST(HullEdgeDistanceBound, NeverBelowTheExactMinimum) {
     for (std::size_t k = 0; k < n; ++k) {
       pts.push_back({rng.uniform(-10, 10), rng.uniform(-4, 4)});
     }
-    LocalView view;
-    view.pts = pts;
-    view.hull = geom::convex_hull_indices(pts);
+    const LocalView view = hull_view(pts);
     const std::size_t h = view.hull.size();
     if (h < 3) continue;
     const Vec2 mean = hull_vertex_mean(view);
@@ -398,15 +415,72 @@ TEST(HullEdgeDistanceBound, NeverBelowTheExactMinimum) {
 TEST(HullEdgeDistanceBound, FindsTheSectorEdgeOfASquare) {
   // Centred in a square, the angular search lands on the edge facing p.
   const std::vector<Vec2> pts = {{0, 0}, {4, 0}, {4, 4}, {0, 4}};
-  LocalView view;
-  view.pts = pts;
-  view.hull = geom::convex_hull_indices(pts);
+  const LocalView view = hull_view(pts);
   const Vec2 centre = hull_vertex_mean(view);
   EXPECT_EQ(centre, (Vec2{2, 2}));
   EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {2, 0.5}), 0.5);
   EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {3.75, 2}), 0.25);
   EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {2, 7}), 3.0);
   EXPECT_DOUBLE_EQ(hull_edge_distance_bound(view, centre, {-1, 2.5}), 1.0);
+}
+
+TEST(HullEdgeDistanceBound, QueryAtTheCentre) {
+  // p == centre: the pseudo-angle of the zero vector is defined as 0.
+  const std::vector<Vec2> pts = {{0, 0}, {4, 0}, {5, 3}, {1, 4}, {-1, 2}};
+  const LocalView view = hull_view(pts);
+  const Vec2 centre = hull_vertex_mean(view);
+  expect_valid_bound(view, centre, centre, "centre");
+  for (const std::size_t k : view.hull) {
+    expect_valid_bound(view, pts[k], pts[k], "centre at a vertex");
+  }
+}
+
+TEST(HullEdgeDistanceBound, QueriesOnAHullVertexRay) {
+  // Points on the ray from the centre through each hull vertex, at the
+  // vertex itself and inside and outside it: the pseudo-angle ties with
+  // the vertex's own, so the search may land on either incident edge.
+  const std::vector<Vec2> pts = {{0, 0}, {6, -1}, {8, 3}, {4, 7}, {-2, 5}, {-3, 1}};
+  const LocalView view = hull_view(pts);
+  ASSERT_EQ(view.hull.size(), pts.size());
+  const Vec2 centre = hull_vertex_mean(view);
+  for (const std::size_t k : view.hull) {
+    const Vec2 v = pts[k];
+    EXPECT_EQ(hull_edge_distance_bound(view, centre, v), 0.0) << "vertex " << k;
+    for (const double s : {0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 100.0}) {
+      expect_valid_bound(view, centre, centre + (v - centre) * s,
+                         "vertex " + std::to_string(k) + " s " + std::to_string(s));
+    }
+  }
+}
+
+TEST(HullEdgeDistanceBound, RandomHullsUnderRandomFrames) {
+  // World hulls seen through random similarity frames (scales 1/4..4,
+  // reflections), queried at their vertices, on their vertex rays and at
+  // random points, around the vertex mean.
+  util::Prng rng{514};
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 3 + rng.next_below(30);
+    std::vector<Vec2> world;
+    for (std::size_t k = 0; k < n; ++k) {
+      world.push_back({rng.uniform(-50, 50), rng.uniform(-50, 50)});
+    }
+    const auto frame = model::LocalFrame::random(world[0], rng);
+    std::vector<Vec2> pts;
+    for (const Vec2 w : world) pts.push_back(frame.to_local(w));
+    const LocalView view = hull_view(pts);
+    if (view.hull.size() < 3) continue;
+    const Vec2 centre = hull_vertex_mean(view);
+    const std::string what = "trial " + std::to_string(trial);
+    expect_valid_bound(view, centre, centre, what);
+    for (const std::size_t k : view.hull) {
+      expect_valid_bound(view, centre, pts[k], what);
+      expect_valid_bound(view, centre, centre + (pts[k] - centre) * rng.uniform(0, 3), what);
+    }
+    for (int q = 0; q < 20; ++q) {
+      expect_valid_bound(view, centre, frame.to_local({rng.uniform(-80, 80), rng.uniform(-80, 80)}),
+                         what);
+    }
+  }
 }
 
 TEST(HullEdgeDistanceBound, InfiniteWithoutATwoDimensionalHull) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "util/prng.hpp"
 
 namespace lumen::geom {
@@ -114,6 +118,104 @@ TEST(SegmentDistance, SegmentToSegment) {
       segment_segment_distance({{0, 0}, {10, 10}}, {{0, 10}, {10, 0}}), 0.0);
   EXPECT_DOUBLE_EQ(
       segment_segment_distance({{0, 0}, {1, 0}}, {{3, 0}, {4, 0}}), 2.0);
+}
+
+/// A double of random sign whose magnitude spans the whole range, from
+/// subnormals to near DBL_MAX.
+double wide_magnitude(util::Prng& rng) {
+  const double m = std::ldexp(rng.uniform(1.0, 2.0),
+                              static_cast<int>(rng.uniform_int(-1080, 1022)));
+  return rng.bernoulli(0.5) ? -m : m;
+}
+
+TEST(SegmentDistanceCertificate, HypotNeverBelowTheLargerComponent) {
+  // The fact point_segment_distance_within rests on: for every pair of
+  // doubles, the rounded hypot is at least max(|x|, |y|).
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<std::pair<double, double>> cases = {
+      {0.0, 0.0}, {kTiny, 0.0}, {kTiny, kTiny}, {-kTiny, kTiny},
+      {kMax, 0.0}, {kMax, kMax}, {-kMax, kMax}, {kMax, kTiny},
+      {1.0, 1.0}, {3.0, -4.0}, {0.1, 0.1}, {1e-310, 1e-310}};
+  util::Prng rng{1405};
+  for (int i = 0; i < 200000; ++i) {
+    const double x = wide_magnitude(rng);
+    const double y = i % 3 == 0   ? (rng.bernoulli(0.5) ? x : -x)  // Equal.
+                     : i % 3 == 1 ? wide_magnitude(rng)
+                                  : x * rng.uniform(-1.0, 1.0);  // Same scale.
+    cases.emplace_back(x, y);
+  }
+  for (const auto& [x, y] : cases) {
+    const double h = std::hypot(x, y);
+    ASSERT_GE(h, std::fabs(x)) << x << ", " << y;
+    ASSERT_GE(h, std::fabs(y)) << x << ", " << y;
+  }
+}
+
+/// The thresholds where a certified comparison could go wrong: the exact
+/// distance and its neighbours, the larger component (where the
+/// certificate switches on) and its neighbours, and a few fixed values.
+std::vector<double> probe_thresholds(const Segment& s, Vec2 p, util::Prng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double d = point_segment_distance(s, p);
+  const Vec2 v = closest_point_on_segment(s, p) - p;
+  std::vector<double> out = {0.0, -0.0, kInf, -1.0, std::nan(""),
+                             rng.uniform(0.0, 2.0) * d};
+  for (const double t : {d, std::fabs(v.x), std::fabs(v.y)}) {
+    out.push_back(t);
+    out.push_back(std::nextafter(t, kInf));
+    out.push_back(std::nextafter(t, -kInf));
+  }
+  return out;
+}
+
+TEST(SegmentDistanceCertificate, WithinMatchesThePlainComparisons) {
+  util::Prng rng{2430};
+  const auto point = [&](double scale) {
+    return Vec2{rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale};
+  };
+  int certified = 0;
+  int compared = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform_int(-40, 40)));
+    Segment s{point(scale), point(scale)};
+    switch (i % 4) {
+      case 0: s.b = s.a; break;                                      // A point.
+      case 1: s.b = {std::nextafter(s.a.x, 1e300), s.a.y}; break;  // One ulp long.
+      case 2: s.b = {s.a.x, s.b.y}; break;                          // Axis-aligned.
+      default: break;
+    }
+    const std::vector<Vec2> queries = {point(scale), point(4 * scale), s.a, s.b,
+                                       geom::midpoint(s.a, s.b),
+                                       {s.a.x, s.a.y + scale}};
+    for (const Vec2 p : queries) {
+      const double plain = point_segment_distance(s, p);
+      for (const double r : probe_thresholds(s, p, rng)) {
+        const double within = point_segment_distance_within(s, p, r);
+        ASSERT_EQ(within <= r, plain <= r) << "case " << i << " r " << r;
+        ASSERT_EQ(within < r, plain < r) << "case " << i << " r " << r;
+        // Not certified: the very double the plain kernel returns.
+        if (within != std::numeric_limits<double>::infinity()) {
+          ASSERT_EQ(within, plain) << "case " << i;
+        } else if (plain != within) {
+          ++certified;
+        }
+        ++compared;
+      }
+    }
+  }
+  // The certificate must actually fire for this test to mean anything.
+  EXPECT_GT(certified, compared / 10);
+}
+
+TEST(SegmentDistanceCertificate, NanInputsCompareFalseAsBefore) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const Segment s{{0, 0}, {1, 0}};
+  for (const Vec2 p : {Vec2{kNan, 0}, Vec2{0, kNan}, Vec2{kNan, kNan}}) {
+    EXPECT_FALSE(point_segment_distance_within(s, p, 1.0) <= 1.0);
+    EXPECT_FALSE(point_segment_distance(s, p) <= 1.0);
+  }
+  EXPECT_FALSE(point_segment_distance_within(s, {0, 5}, kNan) <= kNan);
 }
 
 TEST(SegmentCross, RandomizedConsistencyWithClassification) {
