@@ -5,8 +5,9 @@
 // angular sweep (warmed scratch, allocation-counted), whole-graph
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), snapshot
 // construction (allocating vs scratch-reusing, with a heap-allocation
-// counter), one full SSYNC round serial vs pooled, and one full ASYNC
-// engine run per size.
+// counter), one full SSYNC round serial vs pooled, one full ASYNC engine
+// run per size, and two of Compute's per-view scans (the corner test and
+// the exit-corridor test).
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
 // numbers; bench/compare_bench.py gates CI on regressions against the
@@ -18,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/registry.hpp"
+#include "core/view.hpp"
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
@@ -28,6 +30,7 @@
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -211,6 +214,43 @@ void BM_HullCull(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HullCull)->Arg(256)->Arg(4096)->Arg(65536)->Complexity(benchmark::oN);
+
+void BM_CornerTest(benchmark::State& state) {
+  // build_view of a Corner robot's Look: n visible points in one open
+  // half-plane, delivered in angular sweep order (the order in which the
+  // corner test's cone would widen at every point).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  lumen::util::Prng rng{6};
+  std::vector<Vec2> pts;
+  for (std::size_t j = 0; j < n; ++j) {
+    pts.push_back({rng.uniform(-100, 100), rng.uniform(1, 100)});
+  }
+  std::sort(pts.begin(), pts.end(), [](Vec2 a, Vec2 b) {
+    return lumen::geom::orient2d(Vec2{}, a, b) > 0;
+  });
+  lumen::model::Snapshot snap;
+  snap.reset(lumen::model::Light::kCorner);
+  for (const Vec2 p : pts) snap.push_visible(p, lumen::model::Light::kCorner);
+  for (auto _ : state) {
+    const auto view = lumen::core::build_view(snap);
+    benchmark::DoNotOptimize(view.role);
+  }
+}
+BENCHMARK(BM_CornerTest)->Arg(512)->Arg(2048);
+
+void BM_CorridorScan(benchmark::State& state) {
+  // The exit planner's corridor test over a whole view: a path no point
+  // comes near, so every point is certified out of the corridor.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto pts = random_points(n, 4);
+  const lumen::geom::Segment path{{-100, 150}, {100, 160}};
+  const std::size_t skip[3] = {0, 1, 2};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        lumen::geom::simd::any_within_segment(pts.data(), n, path, 0.5, skip));
+  }
+}
+BENCHMARK(BM_CorridorScan)->Arg(512)->Arg(2048);
 
 void BM_ComputeVisibility(benchmark::State& state) {
   const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 3);

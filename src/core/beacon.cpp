@@ -84,29 +84,6 @@ std::optional<Vec2> interior_insertion_target(const LocalView& view,
 
 namespace {
 
-/// Perpendicular-approach target used by plan_exits: the point straight out
-/// from `from`'s own projection onto the gate, at a wedge-bounded height.
-/// nullopt when the projection falls outside the central [0.08, 0.92] band
-/// (approach slabs must stay clear of the gate's corners) or the gate is
-/// degenerate.
-std::optional<Vec2> perpendicular_target(const LocalView& view,
-                                         const GateEdge& gate, Vec2 from,
-                                         Vec2 interior_witness) {
-  const Vec2 d = gate.c2 - gate.c1;
-  const double len = geom::norm(d);
-  if (len <= 0.0) return std::nullopt;
-  const Vec2 u = d / len;
-  Vec2 n{u.y, -u.x};
-  if (geom::dot(n, interior_witness - gate.c1) > 0.0) n = -n;
-
-  const double t_raw = geom::dot(from - gate.c1, u) / len;
-  if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
-  const Vec2 base = gate.c1 + u * (t_raw * len);
-  const double height =
-      wedge_capped_height(view, gate, base, n, len) * (0.4 + 0.5 * t_raw);
-  return base + n * height;
-}
-
 /// An ASYNC gate: not incident to the observer (its own vertex cannot
 /// anchor a gate), and both endpoints Corner-lit.
 bool corner_lit_gate(const LocalView& view, std::size_t i1, std::size_t i2) {
@@ -122,29 +99,57 @@ std::optional<GateEdge> nearest_corner_lit_gate(const LocalView& view) {
   });
 }
 
-std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
-  std::vector<ExitPlan> plans;
+std::vector<GateFrame> gate_frames(const LocalView& view) {
+  std::vector<GateFrame> frames;
   const std::size_t h = view.hull.size();
-  if (h < 3) return plans;
+  if (h < 3) return frames;
   // Interior witness for outward orientation: the hull vertex mean is
-  // strictly inside any convex polygon, and stays valid even when `from`
-  // itself is outside the hull (a mid-flight rival being modelled).
+  // strictly inside any convex polygon, and stays valid even when the mover
+  // is outside the hull (a mid-flight rival being modelled).
   const Vec2 witness = hull_vertex_mean(view);
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
     if (!corner_lit_gate(view, i1, i2)) continue;
-    // The band test inside perpendicular_target rejects most edges, so the
+    const GateEdge gate{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
+    const Vec2 d = gate.c2 - gate.c1;
+    const double len = geom::norm(d);
+    if (len <= 0.0) continue;  // A degenerate gate yields no plan.
+    const Vec2 u = d / len;
+    Vec2 n{u.y, -u.x};
+    if (geom::dot(n, witness - gate.c1) > 0.0) n = -n;
+    frames.push_back(GateFrame{gate, len, u, n});
+  }
+  return frames;
+}
+
+void plan_exits(const LocalView& view, std::span<const GateFrame> frames,
+                Vec2 from, std::vector<ExitPlan>& plans) {
+  plans.clear();
+  for (const GateFrame& f : frames) {
+    // Perpendicular approach: straight out from `from`'s own projection onto
+    // the gate, at a wedge-bounded height, and only when the projection
+    // falls inside the central [0.08, 0.92] band (approach slabs must stay
+    // clear of the gate's corners). The band rejects most edges, so the
     // edge distance is measured only for the ones that yield a plan.
-    GateEdge gate{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
-    const auto target = perpendicular_target(view, gate, from, witness);
-    if (!target) continue;
+    const double t_raw = geom::dot(from - f.gate.c1, f.u) / f.len;
+    if (t_raw < 0.08 || t_raw > 0.92) continue;
+    const Vec2 base = f.gate.c1 + f.u * (t_raw * f.len);
+    const double height =
+        wedge_capped_height(view, f.gate, base, f.n, f.len) * (0.4 + 0.5 * t_raw);
+    const Vec2 target = base + f.n * height;
+    GateEdge gate = f.gate;
     gate.distance = geom::point_segment_distance({gate.c1, gate.c2}, from);
-    plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
+    plans.push_back(ExitPlan{gate, target, geom::distance(from, target)});
   }
   std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {
     return a.gate.distance < b.gate.distance;
   });
+}
+
+std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
+  std::vector<ExitPlan> plans;
+  plan_exits(view, gate_frames(view), from, plans);
   return plans;
 }
 

@@ -22,6 +22,8 @@
 #include "geom/vec2.hpp"
 
 #include <optional>
+#include <span>
+#include <vector>
 
 namespace lumen::core {
 
@@ -37,15 +39,36 @@ struct ExitPlan {
   double exit_distance = 0.0;  ///< |from -> target|, the handshake priority.
 };
 
+/// A Corner-lit gate with everything plan_exits needs about it that does
+/// not depend on who exits: the edge, its length `len = norm(c2 - c1)`,
+/// unit direction `u = (c2 - c1) / len` and outward unit normal `n`
+/// (oriented away from the hull-vertex mean).
+struct GateFrame {
+  GateEdge gate;
+  double len = 0.0;
+  geom::Vec2 u{};
+  geom::Vec2 n{};
+};
+
+/// The gate table of a view: one GateFrame per hull edge with both
+/// endpoints Corner-lit, not incident to the observer and of nonzero
+/// length, in hull order. Empty without a 2-D hull. Built once per Compute
+/// and shared by the observer's planning and every rival it models.
+[[nodiscard]] std::vector<GateFrame> gate_frames(const LocalView& view);
+
 /// The ASYNC algorithm's exit planner, usable both for the observer itself
 /// and for MODELLING a rival's intention (`from` = the rival's position).
-/// Candidate gates are the hull edges with both endpoints Corner-lit whose
-/// PERPENDICULAR foot from `from` lands comfortably inside the edge
-/// (t in [0.08, 0.92]); plans come back nearest-gate-first. The target sits
-/// on the observer's own column (straight perpendicular approach), so
-/// concurrent exits at one edge follow parallel, non-crossing paths, at
-/// heights bounded by the adjacent-edge wedge (every old corner stays a
-/// corner).
+/// Candidate gates are the frames whose PERPENDICULAR foot from `from`
+/// lands comfortably inside the edge (t in [0.08, 0.92]); `plans` is
+/// refilled with them nearest-gate-first. The target sits on the mover's
+/// own column (straight perpendicular approach), so concurrent exits at one
+/// edge follow parallel, non-crossing paths, at heights bounded by the
+/// adjacent-edge wedge (every old corner stays a corner).
+void plan_exits(const LocalView& view, std::span<const GateFrame> frames,
+                geom::Vec2 from, std::vector<ExitPlan>& plans);
+
+/// plan_exits over a fresh gate table: the same plans, for callers that
+/// plan once per view.
 [[nodiscard]] std::vector<ExitPlan> plan_exits(const LocalView& view,
                                                geom::Vec2 from);
 

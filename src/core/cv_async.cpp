@@ -3,10 +3,12 @@
 #include "core/beacon.hpp"
 #include "core/view.hpp"
 #include "geom/segment.hpp"
+#include "geom/simd.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace lumen::core {
@@ -42,32 +44,30 @@ bool mover_within(const LocalView& view, double radius) {
 /// path would be run over). Gate anchors are at the edge ends, outside the
 /// central approach band, so they never trip this. Used both for the
 /// observer's own decision and — with the same logic, for estimate
-/// consistency — to model a rival's plan.
+/// consistency — to model a rival's plan. `frames` is the view's gate
+/// table; `plans` is scratch, refilled on every call.
 std::optional<ExitPlan> first_clear_plan(const LocalView& view,
-                                         std::size_t subject) {
+                                         std::span<const GateFrame> frames,
+                                         std::size_t subject,
+                                         std::vector<ExitPlan>& plans) {
   const geom::Vec2 from = view.pts[subject];
   // Corridor width scales with the LOCAL packing (distance to the nearest
   // visible robot): wide enough to rule out grazing a parked robot, narrow
   // enough that dense configurations still admit many concurrent plans.
   // (Scaling it with the gate edge length instead throttles global
   // throughput to a constant — the hull edges are huge early on.)
-  double nearest_sq = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < view.pts.size(); ++i) {
-    if (i == subject) continue;
-    nearest_sq = std::min(nearest_sq, geom::distance_sq(from, view.pts[i]));
-  }
+  const double nearest_sq =
+      geom::simd::nearest_distance_sq(view.pts.data(), view.pts.size(), subject, from);
   const double corridor =
       std::isfinite(nearest_sq) ? 0.05 * std::sqrt(nearest_sq) : 0.0;
-  for (const ExitPlan& plan : plan_exits(view, from)) {
+  plan_exits(view, frames, from, plans);
+  for (const ExitPlan& plan : plans) {
     const geom::Segment path{from, plan.target};
-    bool clear = true;
-    for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
-      if (i == subject || i == plan.gate.i1 || i == plan.gate.i2) continue;
-      if (geom::point_segment_distance_within(path, view.pts[i], corridor) <= corridor) {
-        clear = false;
-      }
+    const std::size_t skip[3] = {subject, plan.gate.i1, plan.gate.i2};
+    if (!geom::simd::any_within_segment(view.pts.data(), view.pts.size(), path,
+                                        corridor, skip)) {
+      return plan;
     }
-    if (clear) return plan;
   }
   return std::nullopt;
 }
@@ -138,7 +138,11 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       // Because a robot's kTransit commit precedes its move-Look, two
       // conflicting robots can never both reach flight unseen: at least one
       // of them arbitrates with the other's light visible.
-      auto plan = first_clear_plan(view, 0);
+      // One gate table and one plans buffer serve the observer's planning
+      // and every rival modelled below.
+      const std::vector<GateFrame> frames = gate_frames(view);
+      std::vector<ExitPlan> plans;
+      auto plan = first_clear_plan(view, frames, 0, plans);
       const bool fallback = !plan.has_value();
       if (fallback) plan = fallback_plan(view);
       if (!plan) {
@@ -206,7 +210,7 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         }
         // Model the rival with the SAME planner the rival itself runs, so
         // both parties arbitrate on (approximately) the same two paths.
-        const auto rival_plan = first_clear_plan(view, i);
+        const auto rival_plan = first_clear_plan(view, frames, i, plans);
         geom::Segment rival_path{rival, rival};
         double rival_exit = 0.0;
         if (rival_plan) {

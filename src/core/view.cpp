@@ -3,7 +3,9 @@
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
+#include "geom/simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -41,6 +43,9 @@ Role line_role(std::span<const Vec2> pts) {
   return (has_positive && has_negative) ? Role::kLine : Role::kLineEnd;
 }
 
+/// Points of the corner test's opening sample, besides the last point.
+constexpr std::size_t kConeSample = 16;
+
 /// True iff pts[0] is a strict vertex of the convex hull of `pts`, i.e.
 /// every point distinct from it lies in one open half-plane through it.
 /// O(m) and exact: a cone [right, left] around pts[0] (CCW, opening below
@@ -50,17 +55,26 @@ Role line_role(std::span<const Vec2> pts) {
 /// convex_hull_indices drops them as duplicates of the lower index 0. The
 /// strict hull is unique, so this agrees with index 0 being in
 /// convex_hull_indices(pts).
+///
+/// The answer is a property of the point set, so the cone may take the
+/// points in any order and any point more than once. Looks deliver them in
+/// angular sweep order, in which the cone would widen at almost every
+/// point; a stride sample first opens it close to its final width, and the
+/// full pass then steps only the points simd::cone_skip cannot certify
+/// strictly inside it (stepping a point strictly inside changes nothing).
 bool origin_is_strict_vertex(std::span<const Vec2> pts) {
   const Vec2 o = pts[0];
+  const std::size_t m = pts.size();
   const auto sign = [](double a, double b) { return (a > b) - (a < b); };
   std::size_t right = 0;  // 0: no distinct point seen yet.
   std::size_t left = 0;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
+  // Takes pts[i] into the cone; false when it proves o is not a vertex.
+  const auto step = [&](std::size_t i) {
     const Vec2 p = pts[i];
-    if (p == o) continue;
+    if (p == o) return true;
     if (right == 0) {
       right = left = i;
-      continue;
+      return true;
     }
     const int o_right = geom::orient2d_inline(o, pts[right], p);
     if (o_right < 0) {
@@ -79,6 +93,19 @@ bool origin_is_strict_vertex(std::span<const Vec2> pts) {
         return false;
       }
     }
+    return true;
+  };
+  const std::size_t stride = std::max<std::size_t>(1, (m - 1) / kConeSample);
+  for (std::size_t i = 1; i < m; i += stride) {
+    if (!step(i)) return false;
+  }
+  if (!step(m - 1)) return false;
+  for (std::size_t i = 1; i < m; ++i) {
+    if (right != 0) {
+      i = geom::simd::cone_skip(pts.data(), m, i, o, pts[right], pts[left]);
+      if (i == m) break;
+    }
+    if (!step(i)) return false;
   }
   return true;
 }

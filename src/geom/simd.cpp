@@ -17,6 +17,12 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
                     std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
+                           Vec2 from);
+bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
+                        double r, const std::size_t skip[3]);
+std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
+                      Vec2 right, Vec2 left);
 }  // namespace scalar
 
 #ifdef LUMEN_SIMD_HAVE_WIDE128
@@ -27,6 +33,12 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
                     std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
+                           Vec2 from);
+bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
+                        double r, const std::size_t skip[3]);
+std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
+                      Vec2 right, Vec2 left);
 }  // namespace wide128
 #endif
 
@@ -38,6 +50,12 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
                     std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
+                           Vec2 from);
+bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
+                        double r, const std::size_t skip[3]);
+std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
+                      Vec2 right, Vec2 left);
 }  // namespace avx2
 #endif
 
@@ -197,6 +215,57 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
     default:
       scalar::hull_cull_mask(pts, n, quad, inside);
       return;
+  }
+}
+
+double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
+                           Vec2 from) {
+  switch (active_level()) {
+#ifdef LUMEN_SIMD_HAVE_AVX2
+    case Level::kAvx2:
+      return avx2::nearest_distance_sq(pts, n, subject, from);
+#endif
+#ifdef LUMEN_SIMD_HAVE_WIDE128
+    case Level::kSse2:
+    case Level::kNeon:
+      return wide128::nearest_distance_sq(pts, n, subject, from);
+#endif
+    default:
+      return scalar::nearest_distance_sq(pts, n, subject, from);
+  }
+}
+
+bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
+                        double r, const std::size_t skip[3]) {
+  switch (active_level()) {
+#ifdef LUMEN_SIMD_HAVE_AVX2
+    case Level::kAvx2:
+      return avx2::any_within_segment(pts, n, s, r, skip);
+#endif
+#ifdef LUMEN_SIMD_HAVE_WIDE128
+    case Level::kSse2:
+    case Level::kNeon:
+      return wide128::any_within_segment(pts, n, s, r, skip);
+#endif
+    default:
+      return scalar::any_within_segment(pts, n, s, r, skip);
+  }
+}
+
+std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
+                      Vec2 right, Vec2 left) {
+  switch (active_level()) {
+#ifdef LUMEN_SIMD_HAVE_AVX2
+    case Level::kAvx2:
+      return avx2::cone_skip(pts, n, i, o, right, left);
+#endif
+#ifdef LUMEN_SIMD_HAVE_WIDE128
+    case Level::kSse2:
+    case Level::kNeon:
+      return wide128::cone_skip(pts, n, i, o, right, left);
+#endif
+    default:
+      return scalar::cone_skip(pts, n, i, o, right, left);
   }
 }
 

@@ -8,11 +8,13 @@
 // on aarch64, plus an always-present scalar reference) and selected once at
 // startup: the best level the host supports, overridable with
 // LUMEN_SIMD=scalar|sse2|avx2|neon (unsupported requests clamp down; the
-// scalar fallback always exists).
+// scalar fallback always exists). Compute's per-point scans over a view —
+// the nearest-neighbour distance, the exit-corridor test and the corner
+// test's cone membership — are batched the same way.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
-// same AngularKey sequences, presort records and cull mask as the scalar
-// reference. The vector kernels evaluate exactly the scalar formulas —
+// same AngularKey sequences, presort records, cull mask and scan answers as
+// the scalar reference. The vector kernels evaluate exactly the scalar formulas —
 // same IEEE operations in the same order, compiled with FP contraction off
 // so no fused multiply-add can change a rounding — and SIMD is only ever
 // allowed to CERTIFY a stage-A decision the scalar filter would also
@@ -22,6 +24,7 @@
 // end-to-end through the golden-seed digests.
 #pragma once
 
+#include "geom/segment.hpp"
 #include "geom/vec2.hpp"
 #include "geom/visibility.hpp"
 
@@ -90,5 +93,37 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
 /// surviving points is bit-identical to one built from all points.
 void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
                     std::uint8_t* inside);
+
+/// Squared distance from `from` to the nearest of pts[0..n) other than
+/// pts[subject]: the minimum of distance_sq(from, pts[j]), folded as
+/// `d < acc ? d : acc` from +inf (NaN distances never win). A minimum of
+/// non-NaN doubles does not depend on the fold order, so lane-wise
+/// accumulators give the scalar loop's value exactly. +inf when no other
+/// point exists.
+[[nodiscard]] double nearest_distance_sq(const Vec2* pts, std::size_t n,
+                                         std::size_t subject, Vec2 from);
+
+/// True iff some pts[j], j not in skip[0..2], has
+/// point_segment_distance_within(s, pts[j], r) <= r — the corridor test of
+/// the exit planner, over a whole view. Lanes evaluate
+/// closest_point_on_segment with the same IEEE operations in the same
+/// order and apply the same max-norm certificate; only lanes that survive
+/// it (rare) pay for the scalar hypot, so the answer is the scalar loop's
+/// for every double input.
+[[nodiscard]] bool any_within_segment(const Vec2* pts, std::size_t n,
+                                      const Segment& s, double r,
+                                      const std::size_t skip[3]);
+
+/// The first j in [i, n) whose point is NOT certified strictly inside the
+/// cone around `o` from ray o->right counter-clockwise to ray o->left
+/// (n when there is none). Certified means the stage-A filter
+/// (simd_common.hpp: certainly_inside_cone) proves orient2d(o, right, p) > 0
+/// and orient2d(o, p, left) > 0. Vector levels test whole blocks and
+/// locate the failing lane inside the first block that has one, so every
+/// level returns the same index. A one-ray cone (right == left) certifies
+/// nothing.
+[[nodiscard]] std::size_t cone_skip(const Vec2* pts, std::size_t n,
+                                    std::size_t i, Vec2 o, Vec2 right,
+                                    Vec2 left);
 
 }  // namespace lumen::geom::simd

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace lumen::geom::simd::avx2 {
 

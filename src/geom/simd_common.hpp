@@ -8,6 +8,7 @@
 #pragma once
 
 #include "geom/predicates.hpp"
+#include "geom/segment.hpp"
 #include "geom/visibility.hpp"
 #include "geom/visibility_detail.hpp"
 
@@ -40,13 +41,13 @@ inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
   }
 }
 
-/// True only when the stage-A filter CERTIFIES orient2d(a, b, c) > 0 (c
-/// strictly left of a->b). No exact fallback: an uncertain sign returns
-/// false, which the interior cull treats as "keep the point" — sound,
-/// because a false negative merely forgoes a discard.
-inline bool certainly_left(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  const double detleft = (a.x - c.x) * (b.y - c.y);
-  const double detright = (a.y - c.y) * (b.x - c.x);
+/// True only when the stage-A filter CERTIFIES that an orient2d
+/// determinant is positive, given its two rounded products (Shewchuk's
+/// detleft and detright, formed with the third point subtracted). No exact
+/// fallback: an uncertain sign returns false, which every caller treats as
+/// "keep the point" — sound, because a false negative merely forgoes a
+/// discard or a skip.
+inline bool certainly_positive(double detleft, double detright) noexcept {
   const double det = detleft - detright;
   if (!(det > 0.0)) return false;
   double detsum = 0.0;
@@ -61,6 +62,23 @@ inline bool certainly_left(Vec2 a, Vec2 b, Vec2 c) noexcept {
   return det >= geom::detail::kCcwErrBoundA * detsum;
 }
 
+/// True only when the stage-A filter CERTIFIES orient2d(a, b, c) > 0 (c
+/// strictly left of a->b).
+inline bool certainly_left(Vec2 a, Vec2 b, Vec2 c) noexcept {
+  return certainly_positive((a.x - c.x) * (b.y - c.y), (a.y - c.y) * (b.x - c.x));
+}
+
+/// True only when the stage-A filter CERTIFIES that d lies strictly inside
+/// the cone from ray r counter-clockwise to ray l, all three given as
+/// differences from the apex o (d = p - o, r = right - o, l = left - o):
+/// certainly_left(right, p, o) and certainly_left(p, left, o), i.e.
+/// orient2d(o, right, p) > 0 and orient2d(o, p, left) > 0, with the apex as
+/// the subtracted point so the differences are shared.
+inline bool certainly_inside_cone(Vec2 r, Vec2 l, Vec2 d) noexcept {
+  return certainly_positive(r.x * d.y, r.y * d.x) &&
+         certainly_positive(d.x * l.y, d.y * l.x);
+}
+
 /// Scalar cull test for one point against the CCW quad, matching the
 /// vector lanes decision for decision.
 inline bool inside_quad(const Vec2 quad[4], Vec2 p) noexcept {
@@ -68,6 +86,24 @@ inline bool inside_quad(const Vec2 quad[4], Vec2 p) noexcept {
          certainly_left(quad[1], quad[2], p) &&
          certainly_left(quad[2], quad[3], p) &&
          certainly_left(quad[3], quad[0], p);
+}
+
+/// One point of nearest_distance_sq: folds distance_sq(from, p) into acc
+/// as `d < acc ? d : acc` (std::min's choice, so NaN never wins).
+inline double fold_nearest(double acc, Vec2 from, Vec2 p) noexcept {
+  const double d = distance_sq(from, p);
+  return d < acc ? d : acc;
+}
+
+/// True iff j is one of any_within_segment's three skipped indices.
+inline bool is_skipped(std::size_t j, const std::size_t skip[3]) noexcept {
+  return j == skip[0] || j == skip[1] || j == skip[2];
+}
+
+/// One point of any_within_segment: the corridor test the vector lanes
+/// reproduce (closest point, max-norm certificate, then hypot).
+inline bool within_segment(const Segment& s, Vec2 p, double r) noexcept {
+  return point_segment_distance_within(s, p, r) <= r;
 }
 
 }  // namespace lumen::geom::simd::detail

@@ -10,6 +10,8 @@
 #include "geom/simd_common.hpp"
 #include "util/radix.hpp"
 
+#include <limits>
+
 namespace lumen::geom::simd::scalar {
 
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
@@ -46,6 +48,35 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
   for (std::size_t j = 0; j < n; ++j) {
     inside[j] = detail::inside_quad(quad, pts[j]) ? 1 : 0;
   }
+}
+
+double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
+                           Vec2 from) {
+  double acc = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j != subject) acc = detail::fold_nearest(acc, from, pts[j]);
+  }
+  return acc;
+}
+
+bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
+                        double r, const std::size_t skip[3]) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!detail::is_skipped(j, skip) && detail::within_segment(s, pts[j], r)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
+                      Vec2 right, Vec2 left) {
+  const Vec2 r = right - o;
+  const Vec2 l = left - o;
+  for (std::size_t j = i; j < n; ++j) {
+    if (!detail::certainly_inside_cone(r, l, pts[j] - o)) return j;
+  }
+  return n;
 }
 
 void sort_f32key_records(std::vector<std::uint64_t>& records,

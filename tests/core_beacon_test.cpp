@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
@@ -280,6 +288,138 @@ TEST(PlanExits, TargetsExtendHullStrictly) {
     }
   }
   EXPECT_GE(tested, 40);
+}
+
+// The per-call exit formula plan_exits used before the gate table: every
+// quantity re-derived from the gate on each call. Kept as the oracle the
+// table must match double for double.
+double oracle_tri(Vec2 a, Vec2 b, Vec2 c) {
+  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+}
+
+double oracle_wedge_bound(Vec2 u, Vec2 v, Vec2 base, Vec2 n) {
+  const double a0 = oracle_tri(u, v, base);
+  const double slope = oracle_tri(u, v, base + n) - a0;
+  if (slope >= 0.0) return std::numeric_limits<double>::infinity();
+  if (a0 <= 0.0) return 0.0;
+  return a0 / -slope;
+}
+
+double oracle_wedge_capped_height(const LocalView& view, const GateEdge& gate,
+                                  Vec2 base, Vec2 n, double len) {
+  double h_wedge = std::numeric_limits<double>::infinity();
+  const std::size_t h = view.hull.size();
+  if (h >= 3) {
+    const Vec2 c0 = view.pts[view.hull[(gate.k + h - 1) % h]];
+    const Vec2 c3 = view.pts[view.hull[(gate.k + 2) % h]];
+    h_wedge = std::min(h_wedge, oracle_wedge_bound(c0, gate.c1, base, n));
+    h_wedge = std::min(h_wedge, oracle_wedge_bound(gate.c2, c3, base, n));
+  }
+  double h_cap = 0.25 * len;
+  if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
+  if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
+  return h_cap;
+}
+
+std::optional<Vec2> oracle_perpendicular_target(const LocalView& view,
+                                                const GateEdge& gate, Vec2 from,
+                                                Vec2 interior_witness) {
+  const Vec2 d = gate.c2 - gate.c1;
+  const double len = geom::norm(d);
+  if (len <= 0.0) return std::nullopt;
+  const Vec2 u = d / len;
+  Vec2 n{u.y, -u.x};
+  if (geom::dot(n, interior_witness - gate.c1) > 0.0) n = -n;
+  const double t_raw = geom::dot(from - gate.c1, u) / len;
+  if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
+  const Vec2 base = gate.c1 + u * (t_raw * len);
+  const double height =
+      oracle_wedge_capped_height(view, gate, base, n, len) * (0.4 + 0.5 * t_raw);
+  return base + n * height;
+}
+
+std::vector<ExitPlan> oracle_plan_exits(const LocalView& view, Vec2 from) {
+  std::vector<ExitPlan> plans;
+  const std::size_t h = view.hull.size();
+  if (h < 3) return plans;
+  const Vec2 witness = hull_vertex_mean(view);
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t i1 = view.hull[k];
+    const std::size_t i2 = view.hull[(k + 1) % h];
+    if (i1 == 0 || i2 == 0 || view.lights[i1] != Light::kCorner ||
+        view.lights[i2] != Light::kCorner) {
+      continue;
+    }
+    GateEdge gate{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
+    const auto target = oracle_perpendicular_target(view, gate, from, witness);
+    if (!target) continue;
+    gate.distance = geom::point_segment_distance({gate.c1, gate.c2}, from);
+    plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
+  }
+  std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {
+    return a.gate.distance < b.gate.distance;
+  });
+  return plans;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(PlanExits, GateTableMatchesPerCallFormula) {
+  // The observer and every robot it might model as a rival plan from one
+  // gate table and one reused plans buffer; each plan must carry the very
+  // doubles the per-call formula computes.
+  util::Prng rng{8};
+  int compared = 0;
+  int plans_seen = 0;
+  for (const auto family : {gen::ConfigFamily::kUniformDisk, gen::ConfigFamily::kRingWithCore,
+                            gen::ConfigFamily::kMultiCluster, gen::ConfigFamily::kGrid}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto world = gen::generate(family, 36, seed);
+      std::vector<Light> lights(world.size());
+      for (auto& light : lights) {
+        light = rng.next_below(5) == 0 ? Light::kTransit : Light::kCorner;
+      }
+      for (std::size_t i = 0; i < world.size(); ++i) {
+        const auto frame = model::LocalFrame::random(world[i], rng);
+        const auto snap = model::build_snapshot(world, lights, i, frame);
+        const auto view = build_view(snap);
+        if (view.role != Role::kInterior) continue;
+        const auto frames = gate_frames(view);
+        std::vector<ExitPlan> plans;
+        // Every visible robot as the mover, and points off the robots.
+        std::vector<Vec2> movers(view.pts.begin(), view.pts.end());
+        movers.push_back(Vec2{rng.uniform(-50, 50), rng.uniform(-50, 50)});
+        for (const Vec2 from : movers) {
+          plan_exits(view, frames, from, plans);
+          const auto expected = oracle_plan_exits(view, from);
+          ASSERT_EQ(plans.size(), expected.size());
+          for (std::size_t k = 0; k < plans.size(); ++k) {
+            const ExitPlan& got = plans[k];
+            const ExitPlan& want = expected[k];
+            EXPECT_EQ(got.gate.i1, want.gate.i1);
+            EXPECT_EQ(got.gate.i2, want.gate.i2);
+            EXPECT_EQ(got.gate.k, want.gate.k);
+            EXPECT_TRUE(same_bits(got.gate.distance, want.gate.distance));
+            EXPECT_TRUE(same_bits(got.target.x, want.target.x));
+            EXPECT_TRUE(same_bits(got.target.y, want.target.y));
+            EXPECT_TRUE(same_bits(got.exit_distance, want.exit_distance));
+          }
+          const auto wrapped = plan_exits(view, from);
+          ASSERT_EQ(wrapped.size(), expected.size());
+          for (std::size_t k = 0; k < wrapped.size(); ++k) {
+            EXPECT_TRUE(same_bits(wrapped[k].target.x, expected[k].target.x));
+            EXPECT_TRUE(same_bits(wrapped[k].target.y, expected[k].target.y));
+          }
+          ++compared;
+          plans_seen += static_cast<int>(plans.size());
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 300);
+  EXPECT_GE(plans_seen, 300);
 }
 
 TEST(InteriorInsertion, DegenerateGateRejected) {

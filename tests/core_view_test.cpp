@@ -247,6 +247,88 @@ TEST(CornerTest, RandomViewsUnderRandomFrames) {
   EXPECT_GE(others_seen, 100);
 }
 
+TEST(CornerTest, SweepOrderedViews) {
+  // build_snapshot hands the view its points in the Look's angular sweep
+  // order, the order in which the corner test's cone would widen at almost
+  // every point. Views this large take the stride sample and the certified
+  // block skips; the answer must still be the exact hull's.
+  util::Prng rng{23};
+  int corners = 0;
+  int others_seen = 0;
+  for (const auto family : {gen::ConfigFamily::kUniformDisk, gen::ConfigFamily::kRingWithCore,
+                            gen::ConfigFamily::kGaussianBlob,
+                            gen::ConfigFamily::kNearCollinear}) {
+    for (const std::size_t n : {std::size_t{70}, std::size_t{203}}) {
+      const auto world = gen::generate(family, n, 100 + n);
+      const std::vector<Light> lights(world.size(), Light::kOff);
+      for (std::size_t i = 0; i < world.size(); ++i) {
+        const auto frame = model::LocalFrame::random(world[i], rng);
+        const auto snap = model::build_snapshot(world, lights, i, frame);
+        const auto view = build_view(snap);
+        expect_matches_exact_hull(view, std::string(gen::to_string(family)) + " robot " +
+                                            std::to_string(i));
+        if (view.role == Role::kCorner) ++corners;
+        if (view.role == Role::kSide || view.role == Role::kInterior) ++others_seen;
+      }
+    }
+  }
+  EXPECT_GE(corners, 100);
+  EXPECT_GE(others_seen, 100);
+}
+
+TEST(CornerTest, OnlyEscapeInTailBlock) {
+  // Every point in the open upper half-plane but one, which sits below the
+  // origin near the end of the view: outside the stride sample, and in the
+  // partial block a vector scan leaves to its scalar tail for some sizes.
+  // Stepping it is the only way to see the origin is not a vertex.
+  util::Prng rng{41};
+  int checked = 0;
+  for (std::size_t m = 20; m <= 90; ++m) {
+    const std::size_t stride = std::max<std::size_t>(1, (m - 1) / 16);
+    for (const std::size_t escape : {m - 2, m - 3, m - 4}) {
+      if ((escape - 1) % stride == 0) continue;  // Sampled: not the case here.
+      std::vector<Vec2> others;
+      for (std::size_t k = 1; k < m; ++k) {
+        others.push_back(k == escape ? Vec2{rng.uniform(-0.1, 0.1), -1.0}
+                                     : Vec2{rng.uniform(-1, 1), rng.uniform(1, 2)});
+      }
+      const auto v = local_view(others);
+      EXPECT_NE(v.role, Role::kCorner) << "m=" << m << " escape=" << escape;
+      expect_matches_exact_hull(v, "m=" + std::to_string(m));
+      // Without the escape the origin is a corner.
+      others[escape - 1] = Vec2{0.0, 1.5};
+      EXPECT_EQ(local_view(others).role, Role::kCorner) << "m=" << m;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 100);
+}
+
+TEST(CornerTest, OppositePointOutsideTheSampleOfAOneRayCone) {
+  // The stride sample sees only points on one ray, so the full pass starts
+  // from a one-ray cone; the point opposite that ray shares the first
+  // blocks with points on the ray, before the points that open the cone.
+  // A one-ray cone certifies nothing, so that point is stepped and refutes
+  // the corner.
+  for (std::size_t m = 40; m <= 72; ++m) {
+    const std::size_t stride = std::max<std::size_t>(1, (m - 1) / 16);
+    std::vector<Vec2> others;
+    for (std::size_t k = 1; k < m; ++k) {
+      const double d = static_cast<double>(k);
+      if (k == 2) {
+        others.push_back({-4.0, -8.0});  // Exactly opposite the ray.
+      } else if (k <= 8 || (k - 1) % stride == 0 || k == m - 1) {
+        others.push_back({d, 2.0 * d});  // On the ray through (1, 2).
+      } else {
+        others.push_back({d, 2.0 * d + 1.0});  // Opens the cone.
+      }
+    }
+    const auto v = local_view(others);
+    EXPECT_NE(v.role, Role::kCorner) << "m=" << m;
+    expect_matches_exact_hull(v, "m=" + std::to_string(m));
+  }
+}
+
 // The classification soundness lemma: despite obstruction, a robot's LOCAL
 // role against its visible set equals its GLOBAL role against all robots.
 class ClassificationSoundness
