@@ -13,13 +13,6 @@ namespace lumen::core {
 
 using geom::Vec2;
 
-std::vector<Vec2> LocalView::hull_points() const {
-  std::vector<Vec2> out;
-  out.reserve(hull.size());
-  for (const std::size_t i : hull) out.push_back(pts[i]);
-  return out;
-}
-
 namespace {
 
 /// Role for a fully collinear view: extreme along the line -> kLineEnd.
@@ -110,9 +103,6 @@ bool origin_is_strict_vertex(std::span<const Vec2> pts) {
   return true;
 }
 
-/// scan_nearest_hull_edge's filter for questions about the whole hull.
-constexpr auto kEveryEdge = [](std::size_t, std::size_t) { return true; };
-
 }  // namespace
 
 LocalView build_view(const model::Snapshot& snap) {
@@ -144,12 +134,9 @@ LocalView build_view(const model::Snapshot& snap) {
   return view;
 }
 
-std::optional<GateEdge> nearest_hull_edge(const LocalView& view) {
-  return scan_nearest_hull_edge(view, view.self(), kEveryEdge);
-}
-
 double hull_edge_distance(const LocalView& view, Vec2 p) {
-  const auto best = scan_nearest_hull_edge(view, p, kEveryEdge);
+  const auto best = scan_nearest_hull_edge(
+      view, p, [](std::size_t, std::size_t) { return true; });
   return best ? best->distance : std::numeric_limits<double>::infinity();
 }
 

@@ -54,9 +54,6 @@ struct LocalView {
 
   [[nodiscard]] std::size_t count() const noexcept { return pts.size(); }
   [[nodiscard]] geom::Vec2 self() const noexcept { return pts.empty() ? geom::Vec2{} : pts[0]; }
-
-  /// Hull vertex positions, CCW.
-  [[nodiscard]] std::vector<geom::Vec2> hull_points() const;
 };
 
 /// Builds the digest from a snapshot. The returned view aliases `snap`'s
@@ -79,7 +76,7 @@ struct GateEdge {
 
 /// The hull edge nearest to `p` among the edges (i1, i2) that `keep`
 /// accepts: the one O(h) edge scan behind every nearest-edge question
-/// (nearest_hull_edge, hull_edge_distance, the algorithms' gate choices).
+/// (hull_edge_distance, the algorithms' gate choices).
 /// Hull order with a strict `<`, so ties keep the first edge. Each edge
 /// goes through geom::point_segment_distance_within against the best so
 /// far, so edges certified farther skip hypot. Empty without a 2-D hull
@@ -105,12 +102,8 @@ template <class Keep>
   return best;
 }
 
-/// The hull edge nearest to the observer (its gate candidate).
-/// Empty when the view has no 2-D hull (fewer than 3 hull vertices).
-[[nodiscard]] std::optional<GateEdge> nearest_hull_edge(const LocalView& view);
-
 /// Exact distance from `p` to the nearest hull edge — an O(h) scan over
-/// the same edges nearest_hull_edge compares. +inf without a 2-D hull.
+/// every hull edge. +inf without a 2-D hull.
 [[nodiscard]] double hull_edge_distance(const LocalView& view, geom::Vec2 p);
 
 /// An upper bound on hull_edge_distance(view, p) in O(log h): the distance

@@ -2,16 +2,23 @@
 
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
-#include "util/radix.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace lumen::geom {
 
 namespace {
+
+/// One fringe point in the exact sort: coord_key64 of its x (equal keys
+/// mean equal doubles) and its index.
+struct Key64Record {
+  std::uint64_t key;
+  std::uint32_t slot;
+};
 
 /// Monotone 64-bit image of a double coordinate: unsigned order of the key
 /// equals numeric order of the value (sign bit remapped; -0.0 canonicalized
@@ -28,29 +35,33 @@ inline std::uint64_t coord_key64(double v) noexcept {
 /// saves. Output-neutral: the cull never changes the hull, only its cost.
 inline constexpr std::size_t kCullMin = 32;
 
+/// Below this many fringe records a plain comparison sort beats the bucket
+/// scatter.
+inline constexpr std::size_t kBucketMinRecords = 96;
+
 /// Exact lexicographic (x, y, index) sort of the fringe records, where
 /// record.key is coord_key64(x) and the y/index tie-breaks read the points.
 /// One monotone value-bucket scatter (bucket = (x - min_x) * scale, so
 /// bucket order equals key order and equal keys share a bucket) followed by
 /// exact per-bucket comparison sorts of the tiny runs — the same shape as
-/// util::sort_f32key_records, but with the double coordinate as the bucket
+/// simd::sort_angular_records, but with the double coordinate as the bucket
 /// value and the full three-way comparator as the finish. Chaining two
 /// 8-pass 64-bit LSD radix sorts here costs 16 histogram+scatter sweeps and
 /// loses ~2x to this at realistic sizes; the bucketed form does one.
-inline void sort_fringe_records(std::vector<util::Key64Record>& records,
-                                std::vector<util::Key64Record>& tmp,
+inline void sort_fringe_records(std::vector<Key64Record>& records,
+                                std::vector<Key64Record>& tmp,
                                 std::span<const Vec2> points, double min_x,
                                 double max_x) {
   const std::size_t m = records.size();
-  const auto exact_less = [&points](const util::Key64Record& a,
-                                    const util::Key64Record& b) {
+  const auto exact_less = [&points](const Key64Record& a,
+                                    const Key64Record& b) {
     if (a.key != b.key) return a.key < b.key;  // Exact x order.
     const Vec2 pa = points[a.slot];
     const Vec2 pb = points[b.slot];
     if (pa.y != pb.y) return pa.y < pb.y;
     return a.slot < b.slot;
   };
-  if (m < util::kRadixMinRecords || !(max_x > min_x)) {
+  if (m < kBucketMinRecords || !(max_x > min_x)) {
     // Tiny fringe, or every x equal (degenerate quad): compare-sort.
     std::sort(records.begin(), records.end(), exact_less);
     return;
@@ -58,16 +69,16 @@ inline void sort_fringe_records(std::vector<util::Key64Record>& records,
   const std::size_t nb =
       std::min<std::size_t>(std::bit_floor(m), std::size_t{1} << 13);
   const double scale = static_cast<double>(nb) / (max_x - min_x);
-  const auto bucket_of = [&](const util::Key64Record& r) {
+  const auto bucket_of = [&](const Key64Record& r) {
     const auto b = static_cast<std::size_t>(
         (points[r.slot].x - min_x) * scale);
     return b < nb ? b : nb - 1;
   };
   std::vector<std::size_t> cursors(nb + 1, 0);
-  for (const util::Key64Record& r : records) ++cursors[bucket_of(r) + 1];
+  for (const Key64Record& r : records) ++cursors[bucket_of(r) + 1];
   for (std::size_t b = 1; b <= nb; ++b) cursors[b] += cursors[b - 1];
   tmp.resize(m);
-  for (const util::Key64Record& r : records) tmp[cursors[bucket_of(r)]++] = r;
+  for (const Key64Record& r : records) tmp[cursors[bucket_of(r)]++] = r;
   std::size_t begin = 0;
   for (std::size_t b = 0; b < nb; ++b) {
     const std::size_t end = cursors[b];  // Post-scatter: one past bucket b.
@@ -90,8 +101,8 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
   // finishes each tiny bucket with the exact (x, y, index) comparator. The
   // index tie-break makes the order — and hence the surviving duplicate
   // below — deterministic.
-  std::vector<util::Key64Record> records;
-  std::vector<util::Key64Record> tmp;
+  std::vector<Key64Record> records;
+  std::vector<Key64Record> tmp;
   records.reserve(n);
   double min_x = 0.0;
   double max_x = 0.0;
@@ -118,19 +129,19 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
     simd::hull_cull_mask(points.data(), n, quad, inside.data());
     for (std::uint32_t j = 0; j < n; ++j) {
       if (inside[j] != 0) continue;
-      records.push_back(util::Key64Record{coord_key64(points[j].x), j});
+      records.push_back(Key64Record{coord_key64(points[j].x), j});
     }
     min_x = points[iw].x;
     max_x = points[ie].x;
   } else {
     for (std::uint32_t j = 0; j < n; ++j) {
-      records.push_back(util::Key64Record{coord_key64(points[j].x), j});
+      records.push_back(Key64Record{coord_key64(points[j].x), j});
     }
   }
   sort_fringe_records(records, tmp, points, min_x, max_x);
   std::vector<std::size_t> order;
   order.reserve(records.size());
-  for (const util::Key64Record& r : records) {
+  for (const Key64Record& r : records) {
     order.push_back(r.slot);
   }
   // Drop exact duplicates (keep the first occurrence in sorted order).
@@ -178,27 +189,6 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
   }
   hull.resize(k - 1);  // Last point equals the first.
   return hull;
-}
-
-HullPosition classify_against_hull(std::span<const Vec2> hull, Vec2 query) {
-  const std::size_t h = hull.size();
-  if (h == 0) return HullPosition::kOutside;
-  if (h == 1) return query == hull[0] ? HullPosition::kVertex : HullPosition::kOutside;
-  if (h == 2) {
-    if (query == hull[0] || query == hull[1]) return HullPosition::kVertex;
-    return on_segment_open(hull[0], hull[1], query) ? HullPosition::kEdge
-                                                    : HullPosition::kOutside;
-  }
-  bool on_boundary = false;
-  for (std::size_t i = 0; i < h; ++i) {
-    const Vec2 a = hull[i];
-    const Vec2 b = hull[(i + 1) % h];
-    if (query == a) return HullPosition::kVertex;
-    const int o = orient2d(a, b, query);
-    if (o < 0) return HullPosition::kOutside;
-    if (o == 0 && on_segment_closed(a, b, query)) on_boundary = true;
-  }
-  return on_boundary ? HullPosition::kEdge : HullPosition::kInterior;
 }
 
 bool points_in_strictly_convex_position(std::span<const Vec2> points) {

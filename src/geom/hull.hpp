@@ -26,20 +26,6 @@ namespace lumen::geom {
 [[nodiscard]] std::vector<std::size_t> convex_hull_indices(
     std::span<const Vec2> points);
 
-/// Position of a query point relative to the hull of a point set.
-enum class HullPosition {
-  kVertex,    ///< A strict corner of the hull.
-  kEdge,      ///< On the boundary but not a corner (relative interior of an edge).
-  kInterior,  ///< Strictly inside.
-  kOutside,   ///< Strictly outside (possible only for points not in the set).
-};
-
-/// Classifies `query` against the convex hull given by CCW `hull` positions.
-/// `hull` must be a valid CCW convex polygon (or a degenerate 1-2 point
-/// hull, for which everything on the segment is kVertex/kEdge).
-[[nodiscard]] HullPosition classify_against_hull(std::span<const Vec2> hull,
-                                                 Vec2 query);
-
 /// True iff EVERY point of the set is a strict vertex of the set's convex
 /// hull — the paper's target configuration (Complete Visibility holds iff
 /// this does, for distinct points).

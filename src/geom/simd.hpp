@@ -67,19 +67,20 @@ bool set_active_level(Level level) noexcept;
 /// Batched SoA angular-key build — the one key builder of the visibility
 /// kernel — over pt(j) = {xs[j], ys[j]} (observer `i` and coincident points
 /// skipped), filling scratch.upper/lower with the half-partitioned
-/// AngularKeys (in index order, one detail::append_key per point) AND
-/// scratch.upper_order/lower_order with the (akey bits << 32 | slot)
-/// presort records the radix sort consumes. All four vectors are sized
-/// exactly (a cheap vectorized counting pass precedes the build), so cold
-/// calls reserve the true split instead of 2x the point count.
+/// AngularKeys (in index order) AND scratch.upper_order/lower_order with
+/// the (akey bits << 32 | slot) presort records the bucket sort consumes.
+/// All four vectors are sized exactly (a cheap counting pass precedes the
+/// build), so cold calls reserve the true split instead of 2x the point
+/// count.
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
 
-/// Batched value-bucketed presort of (float_bits << 32 | slot) records —
-/// the dispatched form of util::sort_f32key_records (same preconditions:
-/// keys are bit images of finite non-negative floats bounded by max_key).
-/// Vector levels batch the float->bucket computation of the histogram and
-/// scatter passes; the result is the full ascending 64-bit order, which is
+/// Value-bucketed presort of (float_bits << 32 | slot) records, whose keys
+/// are bit images of finite non-negative floats bounded by max_key (keys
+/// landing exactly on max_key are clamped into the last bucket). One
+/// value-proportional bucket scatter (vector levels batch its
+/// float->bucket computation) followed by per-bucket comparison sorts of
+/// the tiny runs; the result is the full ascending 64-bit order, which is
 /// CANONICAL — every level produces identical bytes by construction, so
 /// this kernel carries no bit-identity risk at all. `tmp` is the bucket
 /// cursor + scatter workspace and keeps its capacity across calls.

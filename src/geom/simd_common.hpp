@@ -4,11 +4,14 @@
 // block tails (and the whole input, at the scalar level) to these helpers,
 // so "what one point contributes" is defined in exactly one place. The
 // scalar formulas here ARE the bit-identity reference: a vector lane is
-// correct iff it reproduces these doubles bit for bit.
+// correct iff it reproduces these doubles bit for bit. The helpers have
+// internal linkage: only the level TUs include this header, and none of
+// them exports anything but its kernel table.
 #pragma once
 
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
+#include "geom/simd_kernels.hpp"
 #include "geom/visibility.hpp"
 #include "geom/visibility_detail.hpp"
 
@@ -16,28 +19,54 @@
 #include <cstdint>
 
 namespace lumen::geom::simd::detail {
+namespace {
 
-/// Packs the radix presort record for a key about to land at `slot` in its
-/// half (callers pass half.size() BEFORE the push_back).
+/// Packs the presort record for a key landing at `slot` in its half.
 inline std::uint64_t order_record(float akey, std::size_t slot) noexcept {
   return (std::uint64_t{std::bit_cast<std::uint32_t>(akey)} << 32) |
          static_cast<std::uint32_t>(slot);
 }
 
-/// Appends point j's angular key (direction d = p - o, nonzero) to the
-/// half-partitioned key and presort-record vectors — one point of the
-/// scalar build_keys_soa, with the presort record built alongside.
-inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
-  using geom::detail::diamond_key;
-  using geom::detail::half_of;
-  if (half_of(d) == 0) {
-    const float akey = diamond_key(d);
-    scratch.upper_order.push_back(order_record(akey, scratch.upper.size()));
-    scratch.upper.push_back(AngularKey{d, norm_sq(d), akey, j});
+/// One point of count_keys: direction d = p - o, skipped when zero.
+inline void count_key(Vec2 d, std::size_t& n_upper,
+                      std::size_t& n_valid) noexcept {
+  if (d.x == 0.0 && d.y == 0.0) return;
+  ++n_valid;
+  if (geom::detail::half_of(d) == 0) ++n_upper;
+}
+
+/// One point of append_keys: writes point j's angular key (direction
+/// d = p - o, skipped when zero) and its presort record at the cursor of
+/// its half.
+inline void sink_key(Vec2 d, std::size_t j, KeySink& sink) noexcept {
+  if (d.x == 0.0 && d.y == 0.0) return;
+  const AngularKey key = geom::detail::make_key(d, j);
+  if (geom::detail::half_of(d) == 0) {
+    sink.up_order[sink.up_pos] = order_record(key.akey, sink.up_pos);
+    sink.up_keys[sink.up_pos++] = key;
   } else {
-    const float akey = diamond_key(Vec2{-d.x, -d.y});
-    scratch.lower_order.push_back(order_record(akey, scratch.lower.size()));
-    scratch.lower.push_back(AngularKey{d, norm_sq(d), akey, j});
+    sink.lo_order[sink.lo_pos] = order_record(key.akey, sink.lo_pos);
+    sink.lo_keys[sink.lo_pos++] = key;
+  }
+}
+
+/// The presort bucket of one (float_bits << 32 | slot) record: the key's
+/// value times `scale`, truncated, with keys at or above the top clamped
+/// into the last of the `nb` buckets.
+inline std::size_t bucket_of(std::uint64_t rec, std::size_t nb,
+                             float scale) noexcept {
+  const auto b = static_cast<std::size_t>(geom::detail::akey_of(rec) * scale);
+  return b < nb ? b : nb - 1;
+}
+
+/// Turns bucket counts into bucket START offsets, in place.
+inline void exclusive_prefix_sum(std::uint64_t* cursors,
+                                 std::size_t nb) noexcept {
+  std::uint64_t sum = 0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    const std::uint64_t count = cursors[b];
+    cursors[b] = sum;
+    sum += count;
   }
 }
 
@@ -106,4 +135,5 @@ inline bool within_segment(const Segment& s, Vec2 p, double r) noexcept {
   return point_segment_distance_within(s, p, r) <= r;
 }
 
+}  // namespace
 }  // namespace lumen::geom::simd::detail

@@ -3,43 +3,45 @@
 // This level always exists (LUMEN_SIMD=scalar selects it, and hosts with
 // no vector kernels compiled in fall back to it). It IS the bit-identity
 // reference: every vector level must reproduce these outputs byte for
-// byte. Note it still performs the exact-split counting pass and fuses the
-// presort-record build, so "scalar" differs from the vector levels only in
-// lane width, never in behavior.
-#include "geom/simd.hpp"
+// byte. Sizing, the small-input sort and the presort's finishing pass live
+// in simd.cpp and are shared by every level, so "scalar" differs from the
+// vector levels only in lane width, never in behavior.
 #include "geom/simd_common.hpp"
-#include "util/radix.hpp"
+#include "geom/simd_kernels.hpp"
 
+#include <algorithm>
 #include <limits>
 
-namespace lumen::geom::simd::scalar {
+namespace lumen::geom::simd {
 
-void build_keys_soa(const double* xs, const double* ys, std::size_t n,
-                    std::size_t i, Vec2 o, VisibilityScratch& scratch) {
-  scratch.upper.clear();
-  scratch.lower.clear();
-  scratch.upper_order.clear();
-  scratch.lower_order.clear();
-  std::size_t n_upper = 0;
-  std::size_t n_valid = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == i) continue;
-    const double dx = xs[j] - o.x;
-    const double dy = ys[j] - o.y;
-    if (dx == 0.0 && dy == 0.0) continue;
-    ++n_valid;
-    if (dy > 0.0 || (dy == 0.0 && dx > 0.0)) ++n_upper;
+namespace scalar {
+namespace {
+
+void count_keys(const double* xs, const double* ys, std::size_t begin,
+                std::size_t end, Vec2 o, std::size_t& n_upper,
+                std::size_t& n_valid) {
+  for (std::size_t j = begin; j < end; ++j) {
+    detail::count_key(Vec2{xs[j] - o.x, ys[j] - o.y}, n_upper, n_valid);
   }
-  scratch.upper.reserve(n_upper);
-  scratch.upper_order.reserve(n_upper);
-  scratch.lower.reserve(n_valid - n_upper);
-  scratch.lower_order.reserve(n_valid - n_upper);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == i) continue;
-    const double dx = xs[j] - o.x;
-    const double dy = ys[j] - o.y;
-    if (dx == 0.0 && dy == 0.0) continue;
-    detail::append_key(Vec2{dx, dy}, static_cast<std::uint32_t>(j), scratch);
+}
+
+void append_keys(const double* xs, const double* ys, std::size_t begin,
+                 std::size_t end, Vec2 o, detail::KeySink& sink) {
+  for (std::size_t j = begin; j < end; ++j) {
+    detail::sink_key(Vec2{xs[j] - o.x, ys[j] - o.y}, j, sink);
+  }
+}
+
+void bucket_scatter(const std::uint64_t* records, std::size_t m,
+                    std::size_t nb, float scale, std::uint64_t* cursors,
+                    std::uint64_t* dst) {
+  std::fill_n(cursors, nb, std::uint64_t{0});
+  for (std::size_t k = 0; k < m; ++k) {
+    ++cursors[detail::bucket_of(records[k], nb, scale)];
+  }
+  detail::exclusive_prefix_sum(cursors, nb);
+  for (std::size_t k = 0; k < m; ++k) {
+    dst[cursors[detail::bucket_of(records[k], nb, scale)]++] = records[k];
   }
 }
 
@@ -79,9 +81,18 @@ std::size_t cone_skip(const Vec2* pts, std::size_t n, std::size_t i, Vec2 o,
   return n;
 }
 
-void sort_f32key_records(std::vector<std::uint64_t>& records,
-                         std::vector<std::uint64_t>& tmp, float max_key) {
-  util::sort_f32key_records(records, tmp, max_key);
-}
+}  // namespace
+}  // namespace scalar
 
-}  // namespace lumen::geom::simd::scalar
+const detail::Kernels detail::kScalarKernels = {
+    .level = Level::kScalar,
+    .count_keys = scalar::count_keys,
+    .append_keys = scalar::append_keys,
+    .bucket_scatter = scalar::bucket_scatter,
+    .hull_cull_mask = scalar::hull_cull_mask,
+    .nearest_distance_sq = scalar::nearest_distance_sq,
+    .any_within_segment = scalar::any_within_segment,
+    .cone_skip = scalar::cone_skip,
+};
+
+}  // namespace lumen::geom::simd

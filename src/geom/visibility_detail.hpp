@@ -15,7 +15,6 @@
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
-#include "util/radix.hpp"
 
 #include <algorithm>
 #include <bit>

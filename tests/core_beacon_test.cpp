@@ -16,6 +16,7 @@
 
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
+#include "hull_oracle.hpp"
 #include "geom/predicates.hpp"
 #include "model/snapshot.hpp"
 #include "util/prng.hpp"
@@ -86,7 +87,7 @@ TEST(InteriorInsertion, RandomizedConvexityPreservation) {
     ASSERT_TRUE(target.has_value());
     ++tested;
     // The target is strictly outside the local hull.
-    const auto hull_pts = view.hull_points();
+    const auto hull_pts = hull_points(view);
     EXPECT_EQ(geom::classify_against_hull(hull_pts, *target),
               geom::HullPosition::kOutside)
         << "iter " << iter;
@@ -281,7 +282,7 @@ TEST(PlanExits, TargetsExtendHullStrictly) {
     if (view.role != Role::kInterior) continue;
     for (const auto& plan : plan_exits(view, view.self())) {
       ++tested;
-      std::vector<Vec2> extended = view.hull_points();
+      std::vector<Vec2> extended = hull_points(view);
       extended.push_back(plan.target);
       EXPECT_EQ(geom::convex_hull_indices(extended).size(), extended.size())
           << "iter " << iter;

@@ -12,6 +12,7 @@
 
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
+#include "hull_oracle.hpp"
 #include "geom/segment.hpp"
 #include "model/snapshot.hpp"
 #include "util/prng.hpp"
@@ -578,7 +579,7 @@ TEST(HullEdgeDistanceBound, InfiniteWithoutATwoDimensionalHull) {
 TEST(LocalViewAccessors, HullPointsMatchIndices) {
   const std::vector<Vec2> world = {{5, 4}, {0, 0}, {10, 0}, {5, 10}};
   const auto view = view_of(world, 0);
-  const auto hp = view.hull_points();
+  const auto hp = hull_points(view);
   ASSERT_EQ(hp.size(), view.hull.size());
   for (std::size_t k = 0; k < hp.size(); ++k) {
     EXPECT_EQ(hp[k], view.pts[view.hull[k]]);

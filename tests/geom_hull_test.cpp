@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "geom/predicates.hpp"
+#include "hull_oracle.hpp"
 #include "util/prng.hpp"
 
 namespace lumen::geom {

@@ -16,6 +16,7 @@
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
 #include "model/frame.hpp"
+#include "simd_levels.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
@@ -34,22 +35,6 @@ namespace {
 
 using geom::Vec2;
 using geom::simd::Level;
-
-std::vector<Level> supported_levels() {
-  std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kNeon, Level::kAvx2}) {
-    if (geom::simd::set_active_level(level)) levels.push_back(level);
-  }
-  geom::simd::set_active_level(geom::simd::best_supported_level());
-  return levels;
-}
-
-/// Restores the default dispatch choice when a test exits, even on failure.
-struct LevelGuard {
-  ~LevelGuard() {
-    geom::simd::set_active_level(geom::simd::best_supported_level());
-  }
-};
 
 struct InputFamily {
   const char* name;
@@ -180,6 +165,109 @@ TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
   }
 }
 
+/// Checks one half of a key build against the points it came from: the
+/// keys are exactly the points of `want` (in index order), and each presort
+/// record is (akey bits << 32 | slot).
+void expect_half_matches(const std::vector<geom::AngularKey>& keys,
+                         const std::vector<std::uint64_t>& order,
+                         const std::vector<std::size_t>& want,
+                         const std::string& what) {
+  ASSERT_EQ(keys.size(), want.size()) << what;
+  ASSERT_EQ(order.size(), want.size()) << what;
+  for (std::size_t slot = 0; slot < want.size(); ++slot) {
+    EXPECT_EQ(keys[slot].index, want[slot]) << what << " slot=" << slot;
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &keys[slot].akey, sizeof(bits));
+    EXPECT_EQ(order[slot], (std::uint64_t{bits} << 32) | slot)
+        << what << " slot=" << slot;
+  }
+}
+
+TEST(GeomSimd, EveryLevelSizesWarmKeyBuffersExactly) {
+  // One scratch per level, warmed by a larger build first: every later
+  // build must leave all four vectors at the exact split of its own input,
+  // with no slack slot and no leftover key of the earlier build.
+  LevelGuard guard;
+  for (Level level : supported_levels()) {
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    geom::VisibilityScratch scratch;
+    run_build(make_random(257, 99), 3, scratch);
+    for (const InputFamily& family : kFamilies) {
+      for (std::size_t n : kSizes) {
+        if (n == 0) continue;
+        const auto pts = family.make(n, 5u * n + 1u);
+        const std::size_t i = n / 2;
+        const Vec2 o = pts[i];
+        std::vector<std::size_t> up, lo;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j == i || pts[j] == o) continue;
+          const Vec2 d = pts[j] - o;
+          (d.y > 0.0 || (d.y == 0.0 && d.x > 0.0) ? up : lo).push_back(j);
+        }
+        run_build(pts, i, scratch);
+        const std::string what = std::string(family.name) +
+                                 " n=" + std::to_string(n) + " level=" +
+                                 std::string(geom::simd::to_string(level));
+        expect_half_matches(scratch.upper, scratch.upper_order, up,
+                            what + " upper");
+        expect_half_matches(scratch.lower, scratch.lower_order, lo,
+                            what + " lower");
+      }
+    }
+  }
+}
+
+TEST(GeomSimd, EveryLevelSkipsTheObserverAtEitherEnd) {
+  // The observer is the first or the last point: the two key-build ranges
+  // around it are [0, 0) + [1, n) or [0, n - 1) + [n, n).
+  LevelGuard guard;
+  for (Level level : supported_levels()) {
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    for (std::size_t n : kSizes) {
+      if (n == 0) continue;
+      const auto pts = make_random(n, 17u * n + 3u);
+      for (const std::size_t i : {std::size_t{0}, n - 1}) {
+        geom::VisibilityScratch scratch;
+        run_build(pts, i, scratch);
+        std::vector<std::size_t> seen;
+        for (const auto& key : scratch.upper) seen.push_back(key.index);
+        for (const auto& key : scratch.lower) seen.push_back(key.index);
+        std::sort(seen.begin(), seen.end());
+        std::vector<std::size_t> want;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j != i) want.push_back(j);
+        }
+        EXPECT_EQ(seen, want) << "n=" << n << " i=" << i
+                              << " level=" << geom::simd::to_string(level);
+      }
+    }
+  }
+}
+
+TEST(GeomSimd, EveryLevelBuildsNoKeysWhenEveryPointCoincides) {
+  // Every point sits on the observer, so every lane is skipped: a scratch
+  // warmed by an earlier build must come back with all four vectors empty.
+  LevelGuard guard;
+  for (Level level : supported_levels()) {
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    for (std::size_t n : kSizes) {
+      if (n == 0) continue;
+      geom::VisibilityScratch scratch;
+      run_build(make_random(64, 5), 0, scratch);
+      ASSERT_FALSE(scratch.upper.empty());
+      const std::vector<Vec2> pts(n, Vec2{1.5, -2.25});
+      run_build(pts, n / 2, scratch);
+      const std::string what =
+          "n=" + std::to_string(n) +
+          " level=" + std::string(geom::simd::to_string(level));
+      EXPECT_TRUE(scratch.upper.empty()) << what;
+      EXPECT_TRUE(scratch.lower.empty()) << what;
+      EXPECT_TRUE(scratch.upper_order.empty()) << what;
+      EXPECT_TRUE(scratch.lower_order.empty()) << what;
+    }
+  }
+}
+
 TEST(GeomSimd, EveryLevelCullsBitIdentically) {
   LevelGuard guard;
   const auto levels = supported_levels();
@@ -235,6 +323,38 @@ TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
       std::vector<std::uint64_t> got = records;
       std::vector<std::uint64_t> tmp;
       geom::simd::sort_angular_records(got, tmp, 2.0f);
+      EXPECT_EQ(expected, got)
+          << "m=" << m << " level=" << geom::simd::to_string(level);
+    }
+  }
+}
+
+TEST(GeomSimd, EveryLevelClampsKeysAtMaxKeyIntoTheLastBucket) {
+  // Keys exactly at max_key map one past the last bucket before the clamp;
+  // keys at 0 fill the first. Both ends heavy, above the comparison-sort
+  // cut-off, so the bucket scatter runs.
+  LevelGuard guard;
+  const auto levels = supported_levels();
+  util::Prng rng(77);
+  constexpr float kMax = 2.0f;
+  for (std::size_t m : {96u, 97u, 200u, 4096u}) {
+    std::vector<std::uint64_t> records;
+    records.reserve(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const float key = k % 3 == 0   ? kMax
+                        : k % 3 == 1 ? 0.0f
+                                     : static_cast<float>(rng.uniform(0.0, 2.0));
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &key, sizeof(key));
+      records.push_back((std::uint64_t{bits} << 32) | (m - k));
+    }
+    std::vector<std::uint64_t> expected = records;
+    std::sort(expected.begin(), expected.end());
+    for (Level level : levels) {
+      ASSERT_TRUE(geom::simd::set_active_level(level));
+      std::vector<std::uint64_t> got = records;
+      std::vector<std::uint64_t> tmp;
+      geom::simd::sort_angular_records(got, tmp, kMax);
       EXPECT_EQ(expected, got)
           << "m=" << m << " level=" << geom::simd::to_string(level);
     }
@@ -451,6 +571,63 @@ TEST(GeomSimd, ActiveLevelRoundTripsThroughStrings) {
         geom::simd::level_from_string(geom::simd::to_string(level));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, level);
+  }
+}
+
+TEST(GeomSimd, UnsupportedLevelIsRefusedAndLeavesTheActiveLevel) {
+  // SSE2 and NEON kernels exist for different architectures, so at least
+  // one level is always refused.
+  LevelGuard guard;
+  const auto levels = supported_levels();
+  ASSERT_TRUE(geom::simd::set_active_level(Level::kScalar));
+  int refused = 0;
+  for (Level level : {Level::kSse2, Level::kNeon, Level::kAvx2}) {
+    if (std::find(levels.begin(), levels.end(), level) != levels.end()) continue;
+    EXPECT_FALSE(geom::simd::set_active_level(level))
+        << geom::simd::to_string(level);
+    EXPECT_EQ(geom::simd::active_level(), Level::kScalar);
+    ++refused;
+  }
+  EXPECT_GE(refused, 1);
+  for (const char* name : {"", "AVX2", "avx512", "sse"}) {
+    EXPECT_FALSE(geom::simd::level_from_string(name).has_value()) << name;
+  }
+}
+
+TEST(GeomSimd, BestSupportedLevelIsTheWidestAccepted) {
+  LevelGuard guard;
+  const auto levels = supported_levels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), Level::kScalar);
+  EXPECT_EQ(geom::simd::best_supported_level(), levels.back());
+  EXPECT_EQ(geom::simd::active_level(), levels.back());
+}
+
+TEST(GeomSimd, EveryLevelAnswersScansWithNothingToScan) {
+  // The only point is the subject or skipped, or the scan starts at the
+  // end: no level may read a lane beyond n.
+  LevelGuard guard;
+  const std::vector<Vec2> pts = {{1.0, 2.0}, {3.0, -1.0}, {0.5, 0.5}};
+  const geom::Segment path{{-1.0, 0.0}, {4.0, 1.0}};
+  const std::size_t skip_all[3] = {0, 1, 2};
+  for (Level level : supported_levels()) {
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    const std::string what(geom::simd::to_string(level));
+    EXPECT_EQ(geom::simd::nearest_distance_sq(pts.data(), 1, 0, {0.0, 0.0}),
+              std::numeric_limits<double>::infinity())
+        << what;
+    EXPECT_EQ(geom::simd::nearest_distance_sq(pts.data(), 0, 0, {0.0, 0.0}),
+              std::numeric_limits<double>::infinity())
+        << what;
+    EXPECT_FALSE(geom::simd::any_within_segment(pts.data(), pts.size(), path,
+                                                1e9, skip_all))
+        << what;
+    for (std::size_t n = 0; n <= pts.size(); ++n) {
+      EXPECT_EQ(geom::simd::cone_skip(pts.data(), n, n, {}, {1.0, 0.0},
+                                      {0.0, 1.0}),
+                n)
+          << what;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "geom/visibility_cache.hpp"
 #include "model/frame.hpp"
 #include "model/snapshot.hpp"
+#include "simd_levels.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace {
@@ -119,44 +121,56 @@ TEST(LookPathAllocations, CachedLookSnapshotIsAllocationFree) {
 }
 
 TEST(LookPathAllocations, VisibleFromSoAOverloadIsAllocationFree) {
+  // simd.cpp sizes the key build's outputs for every dispatch level, so
+  // each level must be heap-free once warm.
+  LevelGuard guard;
   const auto pts = ring_of_points(64);
   const SplitPoints split(pts);
   const std::vector<double>& xs = split.xs;
   const std::vector<double>& ys = split.ys;
-  geom::VisibilityScratch scratch;
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    geom::visible_from(xs, ys, i, scratch, out);
-  }
-  const std::size_t before = g_alloc_count;
-  for (std::size_t round = 0; round < 3; ++round) {
+  for (const geom::simd::Level level : supported_levels()) {
+    SCOPED_TRACE(std::string(geom::simd::to_string(level)));
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    geom::VisibilityScratch scratch;
+    std::vector<std::size_t> out;
     for (std::size_t i = 0; i < pts.size(); ++i) {
       geom::visible_from(xs, ys, i, scratch, out);
-      ASSERT_FALSE(out.empty());
     }
+    const std::size_t before = g_alloc_count;
+    for (std::size_t round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        geom::visible_from(xs, ys, i, scratch, out);
+        ASSERT_FALSE(out.empty());
+      }
+    }
+    EXPECT_EQ(g_alloc_count, before)
+        << "the warm SoA visible_from must not touch the heap";
   }
-  EXPECT_EQ(g_alloc_count, before)
-      << "the warm SoA visible_from must not touch the heap";
 }
 
 TEST(LookPathAllocations, ColdSoAKeyBuildReservesTheExactSplit) {
-  // The batched key build counts the upper/lower split before sizing, so a
-  // COLD call allocates the true split (~32+8 bytes per point across the
-  // four scratch vectors) plus the sort/output workspace — NOT a 2x-of-n
-  // guess that reserves n keys for both halves. The bound below
-  // sits between the two: exact sizing passes with plenty of headroom,
-  // a both-halves reserve(n) (64 bytes/point for the key vectors alone,
-  // ~112 total) trips it.
+  // The key build counts the upper/lower split before sizing, so a COLD
+  // call allocates the true split (~32+8 bytes per point across the four
+  // scratch vectors) plus the sort/output workspace — NOT a 2x-of-n guess
+  // that reserves n keys for both halves. The bound below sits between
+  // the two: exact sizing passes with plenty of headroom, a both-halves
+  // reserve(n) (64 bytes/point for the key vectors alone, ~112 total) trips
+  // it. The sizing is shared by every dispatch level, so each is checked.
+  LevelGuard guard;
   const std::size_t n = 1024;
   const SplitPoints split(ring_of_points(n));
-  geom::VisibilityScratch scratch;
-  std::vector<std::size_t> out;
-  const std::size_t before = g_alloc_bytes;
-  geom::visible_from(split.xs, split.ys, 0, scratch, out);
-  const std::size_t cold_bytes = g_alloc_bytes - before;
-  EXPECT_LT(cold_bytes, 75 * n)
-      << "cold SoA visible_from allocated " << cold_bytes
-      << " bytes for n=" << n << "; the key build is over-reserving";
+  for (const geom::simd::Level level : supported_levels()) {
+    SCOPED_TRACE(std::string(geom::simd::to_string(level)));
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    geom::VisibilityScratch scratch;
+    std::vector<std::size_t> out;
+    const std::size_t before = g_alloc_bytes;
+    geom::visible_from(split.xs, split.ys, 0, scratch, out);
+    const std::size_t cold_bytes = g_alloc_bytes - before;
+    EXPECT_LT(cold_bytes, 75 * n)
+        << "cold SoA visible_from allocated " << cold_bytes
+        << " bytes for n=" << n << "; the key build is over-reserving";
+  }
 }
 
 TEST(LookPathAllocations, BuildSnapshotScratchOverloadIsAllocationFree) {
