@@ -8,11 +8,14 @@ namespace lumen::geom {
 
 namespace {
 
-/// Contiguous-array rank accessor for emit_half / emit_run.
-struct KeyAt {
-  const AngularKey* keys;
-  const AngularKey& operator()(std::size_t k) const noexcept { return keys[k]; }
-};
+/// Keeps an emission result as 32-bit ids (robot indices fit: the records
+/// carry them in 32 bits too). The capacity was reserved for the whole
+/// swarm, so this never reallocates.
+void keep_ids(const std::vector<std::size_t>& out,
+              std::vector<std::uint32_t>& ids) {
+  ids.clear();
+  for (const std::size_t j : out) ids.push_back(static_cast<std::uint32_t>(j));
+}
 
 }  // namespace
 
@@ -35,42 +38,31 @@ void VisibilityCache::reset(std::size_t n, std::size_t budget_bytes) {
 
 void VisibilityCache::rebuild(std::span<const double> xs,
                               std::span<const double> ys, std::size_t i,
-                              Entry* e, std::uint64_t version, bool storable,
+                              Entry* e, std::uint64_t version,
                               VisibilityScratch& scratch,
                               std::vector<std::size_t>& out) {
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  const auto pt = [xs, ys](std::size_t j) noexcept {
-    return Vec2{xs[j], ys[j]};
-  };
-  if (!storable || e == nullptr) {
-    detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
-                                  out);
-    return;
-  }
-  // Storing rebuild: same sort, but the sorted halves are gathered into the
-  // entry so later Looks can repair in place. Emission over the gathered
-  // arrays visits the identical rank sequence, so the output matches the
-  // one-shot kernel bit for bit. The batch key build (geom/simd.hpp) emits
-  // the presort records fused with the keys, same as the one-shot SoA path.
-  const Vec2 o = pt(i);
-  simd::build_keys_soa(xs.data(), ys.data(), xs.size(), i, o, scratch);
-  out.clear();
-  out.reserve(scratch.upper.size() + scratch.lower.size());
-  const auto sort_gather_emit = [&](const std::vector<AngularKey>& keys,
-                                    std::vector<std::uint64_t>& order,
-                                    std::vector<AngularKey>& stored) {
-    stored.clear();
-    if (keys.empty()) return;
-    detail::sort_records(pt, o, keys, order, scratch.order_tmp);
-    stored.reserve(keys.size());
+  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
+                                out);
+  if (e == nullptr) return;
+  // Storing rebuild: the kernel left each half's presort records exactly
+  // sorted, so the entry is those records with each slot swapped for its
+  // robot index. Both buffers are reserved for the whole swarm once; a
+  // later repair that moves robots between halves or grows the visible set
+  // then never reallocates.
+  e->records.reserve(n_ - 1);
+  e->ids.reserve(n_ - 1);
+  e->records.clear();
+  const auto store = [&](const std::vector<AngularKey>& keys,
+                         const std::vector<std::uint64_t>& order) {
     for (const std::uint64_t rec : order) {
-      stored.push_back(keys[detail::slot_of(rec)]);
+      e->records.push_back(detail::index_record(keys[detail::slot_of(rec)]));
     }
-    detail::emit_half(pt, o, KeyAt{stored.data()}, stored.size(), out);
   };
-  sort_gather_emit(scratch.upper, scratch.upper_order, e->upper);
-  sort_gather_emit(scratch.lower, scratch.lower_order, e->lower);
-  e->ids = out;
+  store(scratch.upper, scratch.upper_order);
+  e->split = e->records.size();
+  store(scratch.lower, scratch.lower_order);
+  keep_ids(out, e->ids);
   e->version = version;
   e->valid = true;
 }
@@ -90,7 +82,7 @@ void VisibilityCache::visible_from(std::span<const double> xs,
     // A transient Look still counts toward admission: the observer is
     // active, so its next committed Look should store.
     if (e != nullptr && e->touches == 0) e->touches = 1;
-    rebuild(xs, ys, i, nullptr, version, /*storable=*/false, scratch, out);
+    rebuild(xs, ys, i, nullptr, version, scratch, out);
     return;
   }
   if (!e->valid) {
@@ -99,9 +91,9 @@ void VisibilityCache::visible_from(std::span<const double> xs,
     // cost nothing beyond the one-shot kernel.
     if (e->touches == 0) {
       e->touches = 1;
-      rebuild(xs, ys, i, nullptr, version, /*storable=*/false, scratch, out);
+      rebuild(xs, ys, i, nullptr, version, scratch, out);
     } else {
-      rebuild(xs, ys, i, e, version, /*storable=*/true, scratch, out);
+      rebuild(xs, ys, i, e, version, scratch, out);
     }
     return;
   }
@@ -116,7 +108,7 @@ void VisibilityCache::visible_from(std::span<const double> xs,
   }
   if (suffix_len > n_) {
     // Walking a megabyte log suffix costs more than resorting; bail early.
-    rebuild(xs, ys, i, e, version, /*storable=*/true, scratch, out);
+    rebuild(xs, ys, i, e, version, scratch, out);
     return;
   }
   // Dedup the log suffix into the dirty set (a robot may commit many moves
@@ -137,7 +129,7 @@ void VisibilityCache::visible_from(std::span<const double> xs,
       !self_dirty && dirty.size() <= std::max<std::size_t>(n_ / kRepairDivisor, 1);
   if (!repairable) {
     for (const std::uint32_t r : dirty) scratch.mark[r] = 0;
-    rebuild(xs, ys, i, e, version, /*storable=*/true, scratch, out);
+    rebuild(xs, ys, i, e, version, scratch, out);
     return;
   }
   repairs_.fetch_add(1, std::memory_order_relaxed);
@@ -145,34 +137,47 @@ void VisibilityCache::visible_from(std::span<const double> xs,
     return Vec2{xs[j], ys[j]};
   };
   const Vec2 o = pt(i);
-  // Delete the dirty robots' stale keys (their old position may sit in
-  // either half), then exact-insert the recomputed keys. Every surviving
-  // key is bit-unchanged (its robot and the observer both kept their
-  // committed positions), so after insertion each half is again the unique
-  // exactly-sorted key sequence of the current world.
-  const auto is_dirty = [&](const AngularKey& k) {
-    return scratch.mark[k.index] != 0;
+  // Delete the dirty robots' stale records (their old position may sit in
+  // either half), then exact-insert the records of their new positions.
+  // Every surviving record is bit-unchanged (its robot and the observer
+  // both kept their committed positions), so after insertion each half is
+  // again the unique exactly-sorted sequence of the current world. Keys are
+  // rebuilt from the coordinates only for the comparator and the emission.
+  std::vector<std::uint64_t>& recs = e->records;
+  const auto is_dirty = [&](std::uint64_t rec) {
+    return scratch.mark[detail::slot_of(rec)] != 0;
   };
-  std::erase_if(e->upper, is_dirty);
-  std::erase_if(e->lower, is_dirty);
-  const auto exact_less = [&](const AngularKey& a, const AngularKey& b) {
-    return detail::exact_key_less(pt, o, a, b);
+  const auto mid = recs.begin() + static_cast<std::ptrdiff_t>(e->split);
+  const auto upper_end = std::remove_if(recs.begin(), mid, is_dirty);
+  const auto lower_end = std::remove_if(mid, recs.end(), is_dirty);
+  std::size_t split = static_cast<std::size_t>(upper_end - recs.begin());
+  recs.erase(std::move(mid, lower_end, upper_end), recs.end());
+  const auto exact_less = [&](std::uint64_t a, std::uint64_t b) {
+    return detail::exact_key_less(pt, o, detail::rebuild_key(pt, o, a),
+                                  detail::rebuild_key(pt, o, b));
   };
   for (const std::uint32_t r : dirty) {
     scratch.mark[r] = 0;
     const Vec2 p = pt(r);
     if (p == o) continue;  // Coincident with the observer: never visible.
-    const AngularKey key = detail::make_key(p - o, r);
-    std::vector<AngularKey>& half =
-        detail::half_of(p - o) == 0 ? e->upper : e->lower;
-    half.insert(std::lower_bound(half.begin(), half.end(), key, exact_less),
-                key);
+    const std::uint64_t rec = detail::index_record(detail::make_key(p - o, r));
+    const bool upper = detail::half_of(p - o) == 0;
+    const auto at_split = recs.begin() + static_cast<std::ptrdiff_t>(split);
+    const auto first = upper ? recs.begin() : at_split;
+    const auto last = upper ? at_split : recs.end();
+    recs.insert(std::lower_bound(first, last, rec, exact_less), rec);
+    if (upper) ++split;
   }
+  e->split = split;
+  const std::span<const std::uint64_t> all(recs);
+  const auto key_of = [&](std::uint64_t rec) {
+    return detail::rebuild_key(pt, o, rec);
+  };
   out.clear();
-  out.reserve(e->upper.size() + e->lower.size());
-  detail::emit_half(pt, o, KeyAt{e->upper.data()}, e->upper.size(), out);
-  detail::emit_half(pt, o, KeyAt{e->lower.data()}, e->lower.size(), out);
-  e->ids = out;
+  out.reserve(recs.size());
+  detail::emit_records(pt, o, all.first(split), key_of, out);
+  detail::emit_records(pt, o, all.subspan(split), key_of, out);
+  keep_ids(out, e->ids);
   e->version = version;
 }
 

@@ -5,7 +5,7 @@
 // the robots that COMMITTED a position change since the last rebuild can
 // have altered its angular neighborhood — everyone else's sort key (diff,
 // dist2, pseudo-angle) is bit-for-bit unchanged. VisibilityCache exploits
-// that: per observer it retains the exactly-sorted half-plane key arrays
+// that: per observer it retains the exactly-sorted half-plane key orders
 // plus the emitted visible-id list, stamped with the world version at
 // build time. On the next Look the dirty set is read off the world's
 // write log suffix (O(#writes since), not O(N)):
@@ -14,7 +14,7 @@
 //   * small dirty set, observer
 //     itself clean               -> REPAIR: delete the dirty robots' stale
 //                                   keys, exact-insert their recomputed
-//                                   keys (the arrays stay the unique
+//                                   keys (each half stays the unique
 //                                   exactly-sorted sequence), re-emit;
 //   * observer dirty / large set -> full rebuild.
 //
@@ -30,11 +30,17 @@
 // thus keeps obstructing) at an unchanged position, so it never dirties
 // anyone's neighborhood.
 //
+// An entry keeps each key as an 8-byte index record (akey bits, robot
+// index; see detail::index_record) rather than the 32-byte AngularKey:
+// diff and dist2 are recomputed bit for bit from the coordinates wherever
+// repair's comparator or the emission needs them. Both buffers are
+// reserved once to n - 1 elements, so a repair never reallocates.
+//
 // Storage is budgeted: entries exist only for the observer prefix [0, cap)
-// where cap is sized so retained keys+ids stay within `budget_bytes`
-// (~40 bytes per robot per cached observer). Observers beyond the prefix
+// where cap is sized so retained records+ids stay within `budget_bytes`
+// (12 bytes per robot per cached observer). Observers beyond the prefix
 // fall through to the one-shot kernel — this is what keeps N = 65536
-// rounds inside a fixed footprint instead of the ~2.6 MB/observer a full
+// rounds inside a fixed footprint instead of the ~0.8 MB/observer a full
 // cache would need. In-flight movers (interpolated coordinates that never
 // hit the write log) force the transient path: entries are neither stored
 // nor repaired while anyone is mid-move.
@@ -57,13 +63,14 @@ namespace lumen::geom {
 
 class VisibilityCache {
  public:
-  /// Per-cached-observer storage estimate, bytes per robot: one AngularKey
-  /// (32) plus one retained id (8).
-  static constexpr std::size_t kBytesPerRobot = sizeof(AngularKey) + 8;
+  /// Per-cached-observer storage, bytes per robot: one index record (8)
+  /// plus one retained id (4), each buffer reserved to n - 1 elements.
+  static constexpr std::size_t kBytesPerRobot =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
   /// Dirty sets larger than size/kRepairDivisor robots take the rebuild
-  /// path: beyond that the exact re-insertions cost more than one radix
-  /// presort of the whole half.
+  /// path: beyond that the exact re-insertions cost more than one
+  /// value-bucketed presort of the whole half.
   static constexpr std::size_t kRepairDivisor = 8;
 
   VisibilityCache() = default;
@@ -111,16 +118,19 @@ class VisibilityCache {
     /// comes; recurring observers pay one extra plain rebuild and then
     /// replay/repair from the third Look on.
     std::uint8_t touches = 0;
-    std::uint64_t version = 0;           ///< write_log length at build time.
-    std::vector<AngularKey> upper;       ///< Exactly sorted, angle in [0, pi).
-    std::vector<AngularKey> lower;       ///< Exactly sorted, angle in [pi, 2pi).
-    std::vector<std::size_t> ids;        ///< Emission result at `version`.
+    std::uint64_t version = 0;  ///< write_log length at build time.
+    /// Index records (detail::index_record), exactly sorted: the upper
+    /// half (angle in [0, pi)) in [0, split), the lower half (angle in
+    /// [pi, 2pi)) in [split, size).
+    std::vector<std::uint64_t> records;
+    std::size_t split = 0;
+    std::vector<std::uint32_t> ids;  ///< Emission result at `version`.
   };
 
-  /// Full rebuild for observer i; stores into `e` when storable (committed
-  /// world, i within the cached prefix).
+  /// Full rebuild for observer i; stores into `e` when it is non-null
+  /// (committed world, i within the cached prefix, admitted).
   void rebuild(std::span<const double> xs, std::span<const double> ys,
-               std::size_t i, Entry* e, std::uint64_t version, bool storable,
+               std::size_t i, Entry* e, std::uint64_t version,
                VisibilityScratch& scratch, std::vector<std::size_t>& out);
 
   std::size_t n_ = 0;

@@ -65,6 +65,8 @@ inline constexpr float kSuspectEps = 1e-5f;
 /// the pool's task handshake costs more than the sweep itself.
 inline constexpr std::size_t kMinParallelObservers = 32;
 
+/// The low 32 bits of a record: a slot of the key array in a presort
+/// record, a robot index in an index record (see index_record).
 inline std::uint32_t slot_of(std::uint64_t rec) noexcept {
   return static_cast<std::uint32_t>(rec);
 }
@@ -76,6 +78,27 @@ inline std::uint32_t slot_of(std::uint64_t rec) noexcept {
 /// resident record halves their cache traffic.
 inline float akey_of(std::uint64_t rec) noexcept {
   return std::bit_cast<float>(static_cast<std::uint32_t>(rec >> 32));
+}
+
+/// The visibility cache's compact form of a key: its akey bits in the high
+/// 32 bits, as in the presort record, and its robot index (not a slot) in
+/// the low 32 bits. Eight bytes instead of the key's 32 — diff and dist2
+/// are recomputed on demand by rebuild_key.
+inline std::uint64_t index_record(const AngularKey& key) noexcept {
+  return (std::uint64_t{std::bit_cast<std::uint32_t>(key.akey)} << 32) |
+         key.index;
+}
+
+/// The full AngularKey of an index record around observer `o`, bit for bit
+/// the key the batched build (and make_key) produced: both form the diff
+/// as pt(j) - o and dist2 as norm_sq(diff), with the same IEEE operations
+/// on the same coordinates.
+template <class PtFn>
+[[nodiscard]] inline AngularKey rebuild_key(const PtFn& pt, Vec2 o,
+                                            std::uint64_t rec) noexcept {
+  const std::uint32_t j = slot_of(rec);
+  const Vec2 d = pt(j) - o;
+  return AngularKey{d, norm_sq(d), akey_of(rec), j};
 }
 
 /// The exact strict total order on keys within one half-plane: orientation
@@ -100,7 +123,7 @@ template <class PtFn>
 /// The rounded dist2 sort key only pre-orders the run; the nearest is
 /// re-derived with the exact on_segment_open predicate, so even adversarial
 /// dist2 rounding ties cannot pick the wrong survivor. `key_at(k)` resolves
-/// rank k to its key (indirect through radix records, or contiguous).
+/// rank k to its key (see emit_records).
 template <class PtFn, class KeyAt>
 void emit_run(const PtFn& pt, Vec2 o, const KeyAt& key_at, std::size_t b,
               std::size_t e, std::vector<std::size_t>& out) {
@@ -121,52 +144,29 @@ void emit_run(const PtFn& pt, Vec2 o, const KeyAt& key_at, std::size_t b,
   }
 }
 
-/// Splits ranks [0, m) into equal-direction runs and emits each. An akey
-/// gap above kSuspectEps certifies a direction change without touching the
-/// predicate; only near-ties pay for orient2d_around. (Within a fixed-up
-/// suspect chain akeys may dip non-monotone by up to the key uncertainty —
-/// a negative gap simply takes the exact branch, which is always sound.)
-template <class PtFn, class KeyAt>
-void emit_half(const PtFn& pt, Vec2 o, const KeyAt& key_at, std::size_t m,
-               std::vector<std::size_t>& out) {
+/// Splits one half's exact-sorted records into equal-direction runs and
+/// emits each. An akey gap above kSuspectEps, read straight out of the
+/// records (akey_of), certifies a direction change without touching the
+/// predicate; only near-ties resolve their keys for orient2d_around.
+/// `key_of(rec)` yields a record's full AngularKey: gathered through the
+/// presort slot (emit_half_records) or rebuilt from the coordinates
+/// (rebuild_key, the visibility cache's index records) — the two are bit
+/// equal, so the boundaries, runs and output are the same either way.
+/// (Within a fixed-up suspect chain akeys may dip non-monotone by up to
+/// the key uncertainty — a negative gap simply takes the exact branch,
+/// which is always sound.)
+template <class PtFn, class KeyOf>
+void emit_records(const PtFn& pt, Vec2 o, std::span<const std::uint64_t> recs,
+                  const KeyOf& key_of, std::vector<std::size_t>& out) {
+  const std::size_t m = recs.size();
   if (m == 0) return;
-  std::size_t run_begin = 0;
-  const AngularKey* prev_key = &key_at(0);
-  for (std::size_t k = 1; k < m; ++k) {
-    const AngularKey& cur_key = key_at(k);
-    const bool boundary =
-        (cur_key.akey - prev_key->akey > kSuspectEps) ||
-        orient2d_around(prev_key->diff, cur_key.diff, pt(prev_key->index),
-                        pt(cur_key.index), o) != 0;
-    if (boundary) {
-      emit_run(pt, o, key_at, run_begin, k, out);
-      run_begin = k;
-    }
-    prev_key = &cur_key;
-  }
-  emit_run(pt, o, key_at, run_begin, m, out);
-}
-
-/// emit_half over exact-sorted records: identical run splitting and
-/// emission, but the akey-gap certificate reads the records (akey_of)
-/// instead of gathering each ranked key — the key array is only touched at
-/// suspect boundaries (orient2d operands) and for the emitted points
-/// themselves. Same boundaries, same runs, same output as emit_half: the
-/// record akeys are bit-equal to the gathered ones.
-template <class PtFn>
-void emit_half_records(const PtFn& pt, Vec2 o,
-                       const std::vector<AngularKey>& keys,
-                       const std::vector<std::uint64_t>& order,
-                       std::vector<std::size_t>& out) {
-  const std::size_t m = order.size();
-  if (m == 0) return;
-  const auto key_at = [&](std::size_t k) -> const AngularKey& {
-    return keys[slot_of(order[k])];
+  const auto key_at = [&](std::size_t k) -> decltype(auto) {
+    return key_of(recs[k]);
   };
   std::size_t run_begin = 0;
-  float prev = akey_of(order[0]);
+  float prev = akey_of(recs[0]);
   for (std::size_t k = 1; k < m; ++k) {
-    const float cur = akey_of(order[k]);
+    const float cur = akey_of(recs[k]);
     const bool boundary =
         (cur - prev > kSuspectEps) ||
         orient2d_around(key_at(k - 1).diff, key_at(k).diff,
@@ -178,6 +178,19 @@ void emit_half_records(const PtFn& pt, Vec2 o,
     prev = cur;
   }
   emit_run(pt, o, key_at, run_begin, m, out);
+}
+
+/// emit_records over presort records: each key is gathered from the key
+/// array through its record's slot.
+template <class PtFn>
+void emit_half_records(const PtFn& pt, Vec2 o,
+                       const std::vector<AngularKey>& keys,
+                       const std::vector<std::uint64_t>& order,
+                       std::vector<std::size_t>& out) {
+  emit_records(
+      pt, o, order,
+      [&](std::uint64_t rec) -> const AngularKey& { return keys[slot_of(rec)]; },
+      out);
 }
 
 /// Exact CCW sort of one half-plane's keys over PREBUILT (akey << 32 |

@@ -15,6 +15,7 @@
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
+#include "geom/visibility_detail.hpp"
 #include "model/frame.hpp"
 #include "simd_levels.hpp"
 #include "util/prng.hpp"
@@ -264,6 +265,47 @@ TEST(GeomSimd, EveryLevelBuildsNoKeysWhenEveryPointCoincides) {
       EXPECT_TRUE(scratch.lower.empty()) << what;
       EXPECT_TRUE(scratch.upper_order.empty()) << what;
       EXPECT_TRUE(scratch.lower_order.empty()) << what;
+    }
+  }
+}
+
+TEST(GeomSimd, EveryLevelBuildsKeysThatRebuildFromCoordinates) {
+  // The visibility cache keeps only (akey, index) per robot and recomputes
+  // diff and dist2 from the coordinates when it needs them
+  // (detail::rebuild_key); repair's exact comparator, dist2 tie-break
+  // included, is only the sort's if that key is the built one byte for
+  // byte. So at every level each built key must equal make_key(p - o, j)
+  // and survive the round trip through its index record.
+  LevelGuard guard;
+  for (Level level : supported_levels()) {
+    ASSERT_TRUE(geom::simd::set_active_level(level));
+    for (const InputFamily& family : kFamilies) {
+      for (std::size_t n : kSizes) {
+        if (n == 0) continue;
+        const auto pts = family.make(n, 3u * n + 5u);
+        const auto pt = [&pts](std::size_t j) { return pts[j]; };
+        for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+          geom::VisibilityScratch scratch;
+          run_build(pts, i, scratch);
+          const Vec2 o = pts[i];
+          const std::string what =
+              std::string(family.name) + " n=" + std::to_string(n) +
+              " i=" + std::to_string(i) +
+              " level=" + std::string(geom::simd::to_string(level));
+          for (const auto* half : {&scratch.upper, &scratch.lower}) {
+            for (const geom::AngularKey& key : *half) {
+              const geom::AngularKey made =
+                  geom::detail::make_key(pts[key.index] - o, key.index);
+              EXPECT_EQ(std::memcmp(&made, &key, sizeof(key)), 0)
+                  << what << " j=" << key.index << ": make_key differs";
+              const geom::AngularKey rebuilt = geom::detail::rebuild_key(
+                  pt, o, geom::detail::index_record(key));
+              EXPECT_EQ(std::memcmp(&rebuilt, &key, sizeof(key)), 0)
+                  << what << " j=" << key.index << ": rebuild_key differs";
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -2,8 +2,8 @@
 //
 // The engines snapshot the world on every Look; the scratch overloads of
 // geom::visible_from and model::build_snapshot, and the visibility cache's
-// replay path, must therefore be heap-free once their buffers are warm, or
-// a long campaign spends its time in the allocator. The test TU replaces
+// replay and repair paths, must therefore be heap-free once their buffers
+// are warm, or a long campaign spends its time in the allocator. The test TU replaces
 // global operator new/delete with counting versions and asserts zero
 // allocations across warmed-up calls.
 #include "geom/visibility.hpp"
@@ -118,6 +118,64 @@ TEST(LookPathAllocations, CachedLookSnapshotIsAllocationFree) {
   EXPECT_EQ(g_alloc_count, before)
       << "the warmed cached Look path must not touch the heap";
   EXPECT_EQ(cache.replays() - replays_before, 3 * pts.size());
+}
+
+TEST(LookPathAllocations, CacheRepairIsAllocationFree) {
+  // A stored entry holds room for the whole swarm, so a warmed repair never
+  // reallocates: not when a committed move carries a robot across the
+  // observer's half boundary (one half grows), nor when it unblocks a
+  // hidden robot (the visible set grows).
+  auto pts = ring_of_points(64);
+  pts[0] = Vec2{0.0, 0.0};    // The observer.
+  pts[1] = Vec2{1.5, 1.0};    // Blocks robot 2 exactly: all three are
+  pts[2] = Vec2{3.0, 2.0};    // collinear in exact arithmetic.
+  pts[3] = Vec2{-2.0, -1.0};  // In the observer's lower half.
+  SplitPoints split(pts);
+  std::vector<std::uint32_t> write_log;
+  write_log.reserve(8);  // The test's own log must not count.
+  geom::VisibilityCache cache;
+  cache.reset(pts.size(), std::size_t{1} << 20);
+  geom::VisibilityScratch scratch;
+  std::vector<std::size_t> out;
+  const auto look = [&] {
+    cache.visible_from(split.xs, split.ys, 0, write_log, /*moving_count=*/0,
+                       scratch, out);
+  };
+  const auto commit = [&](std::uint32_t r, Vec2 p) {
+    split.xs[r] = p.x;
+    split.ys[r] = p.y;
+    write_log.push_back(r);
+  };
+  // Warm up: two rebuilds admit and store the entry, and a repair that
+  // changes nothing (robot 5 recommits its own position) warms the
+  // dirty-set scratch.
+  look();
+  look();
+  commit(5, pts[5]);
+  look();
+  ASSERT_EQ(cache.repairs(), 1u);
+  const std::size_t visible_before = out.size();
+  ASSERT_EQ(visible_before, pts.size() - 2);
+
+  std::size_t before = g_alloc_count;
+  commit(3, Vec2{2.0, 1.0});  // Reflected through the observer.
+  look();
+  EXPECT_EQ(g_alloc_count, before)
+      << "a repair that moves a robot into the other half allocated";
+  EXPECT_EQ(out.size(), visible_before);
+
+  before = g_alloc_count;
+  commit(1, Vec2{1.5, -1.0});  // The blocker steps aside: 2 comes into view.
+  look();
+  EXPECT_EQ(g_alloc_count, before)
+      << "a repair that grows the visible set allocated";
+  EXPECT_EQ(out.size(), visible_before + 1);
+
+  EXPECT_EQ(cache.repairs(), 3u);
+  EXPECT_EQ(cache.rebuilds(), 2u);
+  std::vector<std::size_t> want;
+  geom::visible_from(split.xs, split.ys, 0, scratch, want);
+  EXPECT_EQ(out, want);
 }
 
 TEST(LookPathAllocations, VisibleFromSoAOverloadIsAllocationFree) {

@@ -4,11 +4,13 @@
 //
 // Two layers of evidence:
 //  1. A direct property test drives geom::VisibilityCache through random
-//     interleavings of committed moves, deaths (which commit nothing),
-//     transient in-flight Looks and repeated observer Looks, checking every
-//     answer against the naive SoA kernel on the same arrays. This walks
-//     all four paths (replay / repair / rebuild / transient) plus the
-//     admission warm-up and the budget fall-through.
+//     interleavings of committed moves (some reflecting a robot through
+//     an observer, so its key changes half-planes), deaths (which commit
+//     nothing), transient in-flight Looks and repeated observer Looks,
+//     checking every answer against the naive SoA kernel on the same
+//     arrays. This walks all four paths (replay / repair / rebuild /
+//     transient) plus the admission warm-up and the budget fall-through,
+//     and repairs observers whose keys all lie in one half-plane.
 //  2. End-to-end runs on all three schedulers, pool sizes 1 and 4, with
 //     and without fault plans, digesting the full RunResult for cache-on
 //     vs cache-off and private-arena vs shared-arena equality.
@@ -99,6 +101,17 @@ void churn_against_oracle(std::uint64_t seed, std::size_t n,
   std::vector<double> fly_ys;
   for (int step = 0; step < steps; ++step) {
     const double roll = rng.next_double();
+    if (roll < 0.08) {
+      // Reflect a robot through a frequently-Looking observer: its key
+      // changes half-planes there, so that observer's next repair moves it
+      // across the split between the stored halves.
+      const std::size_t observer = rng.next_below((n / 4) + 1);
+      const auto r = static_cast<std::uint32_t>(rng.next_below(n));
+      xs[r] = 2.0 * xs[observer] - xs[r];
+      ys[r] = 2.0 * ys[observer] - ys[r];
+      write_log.push_back(r);
+      continue;
+    }
     if (roll < 0.25) {
       // Commit a move: the ONLY event that appends to the write log.
       const auto r = static_cast<std::uint32_t>(rng.next_below(n));
@@ -152,8 +165,8 @@ void churn_against_oracle(std::uint64_t seed, std::size_t n,
   // or the property is vacuous.
   EXPECT_GT(cache.rebuilds(), 0u);
   if (budget >= n * n * geom::VisibilityCache::kBytesPerRobot) {
-    EXPECT_GT(cache.replays() + cache.repairs(), 0u)
-        << "full-budget churn never replayed or repaired";
+    EXPECT_GT(cache.replays(), 0u) << "full-budget churn never replayed";
+    EXPECT_GT(cache.repairs(), 0u) << "full-budget churn never repaired";
   }
 }
 
@@ -161,6 +174,47 @@ TEST(IncrementalVisibilityProperty, CacheMatchesNaiveOracleUnderChurn) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     churn_against_oracle(seed, 48, /*budget=*/256u << 20, /*steps=*/600);
   }
+}
+
+TEST(IncrementalVisibilityProperty, RepairsObserversWithEveryKeyInOneHalf) {
+  // Observer 0 sits below the whole swarm and observer 1 above it, so every
+  // key of 1 lies in its lower half, and every key of 0 in its upper half
+  // until robots that drop below observer 0 start to fill its lower one:
+  // repairs run with one stored half empty, and cross into it.
+  const std::size_t n = 32;
+  util::Prng rng(41);
+  std::vector<double> xs(n);
+  std::vector<double> ys(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    xs[j] = rng.uniform(-10.0, 10.0);
+    ys[j] = rng.uniform(-10.0, 10.0);
+  }
+  xs[0] = 0.0;
+  ys[0] = -20.0;
+  xs[1] = 0.0;
+  ys[1] = 20.0;
+  std::vector<std::uint32_t> write_log;
+  geom::VisibilityCache cache;
+  cache.reset(n, 256u << 20);
+  geom::VisibilityScratch cache_scratch;
+  geom::VisibilityScratch naive_scratch;
+  std::vector<std::size_t> got;
+  std::vector<std::size_t> want;
+  for (int step = 0; step < 400; ++step) {
+    const auto r = static_cast<std::uint32_t>(2 + rng.next_below(n - 2));
+    xs[r] = rng.uniform(-10.0, 10.0);
+    ys[r] = rng.next_double() < 0.1 ? -25.0 : rng.uniform(-10.0, 10.0);
+    write_log.push_back(r);
+    for (const std::size_t observer : {std::size_t{0}, std::size_t{1}}) {
+      cache.visible_from(xs, ys, observer, write_log, /*moving_count=*/0,
+                         cache_scratch, got);
+      geom::visible_from(xs, ys, observer, naive_scratch, want);
+      ASSERT_EQ(got, want) << "observer " << observer << ", step " << step;
+    }
+  }
+  // Two admission rebuilds per observer, then one repair per Look.
+  EXPECT_EQ(cache.rebuilds(), 4u);
+  EXPECT_EQ(cache.repairs(), 2u * 400u - 4u);
 }
 
 TEST(IncrementalVisibilityProperty, SmallBudgetFallsThroughToKernel) {
