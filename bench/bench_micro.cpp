@@ -6,8 +6,8 @@
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), snapshot
 // construction (allocating vs scratch-reusing, with a heap-allocation
 // counter), one full SSYNC round serial vs pooled, one full ASYNC engine
-// run per size, and two of Compute's per-view scans (the corner test and
-// the exit-corridor test).
+// run per size, Compute's classification of a Corner and of an Interior
+// Look (build_view), and the exit-corridor scan.
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
 // numbers; bench/compare_bench.py gates CI on regressions against the
@@ -237,6 +237,36 @@ void BM_CornerTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CornerTest)->Arg(512)->Arg(2048);
+
+void BM_InteriorView(benchmark::State& state) {
+  // build_view of an Interior robot's Look: the snapshot of the robot
+  // nearest the centre of an n-robot uniform disk, through a random local
+  // frame, exactly as a Look hands it to Compute (visible robots in sweep
+  // order). The line test, the corner test and the hull all run.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto world =
+      lumen::gen::generate(lumen::gen::ConfigFamily::kUniformDisk, n, 8);
+  std::size_t centre = 0;
+  for (std::size_t j = 1; j < n; ++j) {
+    if (lumen::geom::norm_sq(world[j]) < lumen::geom::norm_sq(world[centre])) {
+      centre = j;
+    }
+  }
+  lumen::util::Prng rng{9};
+  const auto frame = lumen::model::LocalFrame::random(world[centre], rng);
+  const std::vector<lumen::model::Light> lights(n, lumen::model::Light::kOff);
+  const auto snap =
+      lumen::model::build_snapshot(world, lights, centre, frame);
+  if (lumen::core::build_view(snap).role != lumen::core::Role::kInterior) {
+    state.SkipWithError("the centre robot's view is not Interior");
+    return;
+  }
+  for (auto _ : state) {
+    const auto view = lumen::core::build_view(snap);
+    benchmark::DoNotOptimize(view.hull.data());
+  }
+}
+BENCHMARK(BM_InteriorView)->Arg(512)->Arg(2048);
 
 void BM_CorridorScan(benchmark::State& state) {
   // The exit planner's corridor test over a whole view: a path no point

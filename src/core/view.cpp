@@ -128,7 +128,15 @@ LocalView build_view(const model::Snapshot& snap) {
   }
   // Not a strict vertex, and no hull vertex shares its position (a
   // duplicate would have kept index 0 instead): the observer is on an
-  // edge's open interior (Side) or strictly inside.
+  // edge's open interior (Side) or strictly inside. A Look delivers the
+  // points in angular sweep order, so the sweep hull certifies Interior
+  // views and builds their hull without a sort; what it declines (Side
+  // views, and orders the local frame's rounding disturbed) takes the
+  // sort-based hull and the edge scan.
+  if (geom::sweep_hull_indices(view.pts, view.hull)) {
+    view.role = Role::kInterior;
+    return view;
+  }
   view.hull = geom::convex_hull_indices(view.pts);
   view.role = containing_hull_edge(view) ? Role::kSide : Role::kInterior;
   return view;

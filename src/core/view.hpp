@@ -45,7 +45,8 @@ enum class Role {
 struct LocalView {
   std::span<const geom::Vec2> pts;     ///< Observer first, then visible robots.
   std::span<const model::Light> lights;  ///< Parallel to pts.
-  /// CCW strict-vertex indices into pts (geom::convex_hull_indices). Built
+  /// CCW strict-vertex indices into pts (geom::convex_hull_indices, or the
+  /// identical geom::sweep_hull_indices for certified Interior views). Built
   /// only for kSide and kInterior views, the only roles whose rules read
   /// it; EMPTY for kCorner (decided without a hull), kLine, kLineEnd and
   /// kAlone.
@@ -60,7 +61,13 @@ struct LocalView {
 /// position and light storage; keep the snapshot alive while using it.
 /// kCorner is decided by an O(m) exact test (every other visible point lies
 /// in one open half-plane through the observer), so Corner views — most
-/// Looks — never pay for the O(m log m) hull.
+/// Looks — never pay for a hull. Interior views take
+/// geom::sweep_hull_indices: an O(m) exact certificate that the snapshot's
+/// sweep order is the angular order around a strictly interior observer,
+/// then one Graham pass, with no sort and no edge scan. Views it declines
+/// (Side views, and sweeps the local frame's rounding reordered) build the
+/// sort-based geom::convex_hull_indices and scan for the containing edge.
+/// Either way `hull` is the same list.
 [[nodiscard]] LocalView build_view(const model::Snapshot& snap);
 
 /// A gate: a hull edge through which an interior/side robot exits.

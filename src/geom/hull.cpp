@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace lumen::geom {
@@ -91,6 +92,49 @@ inline void sort_fringe_records(std::vector<Key64Record>& records,
   records.swap(tmp);
 }
 
+/// Akl–Toussaint interior cull of a non-empty span: inside[j] = 1 iff
+/// points[j] is certified strictly inside the quadrilateral of the four
+/// coordinate-extreme points (simd::hull_cull_mask), so strictly inside the
+/// hull. Returns the quad's west and east indices.
+inline std::pair<std::size_t, std::size_t> cull_mask(
+    std::span<const Vec2> points, std::uint8_t* inside) {
+  // The running extremes stay in registers: reloading points[iw] each step
+  // would chain every iteration through a load.
+  std::size_t iw = 0, ie = 0, is = 0, in = 0;
+  double min_x = points[0].x, max_x = min_x;
+  double min_y = points[0].y, max_y = min_y;
+  for (std::size_t j = 1; j < points.size(); ++j) {
+    const Vec2 p = points[j];
+    if (p.x < min_x) {
+      min_x = p.x;
+      iw = j;
+    }
+    if (p.x > max_x) {
+      max_x = p.x;
+      ie = j;
+    }
+    if (p.y < min_y) {
+      min_y = p.y;
+      is = j;
+    }
+    if (p.y > max_y) {
+      max_y = p.y;
+      in = j;
+    }
+  }
+  // CCW corner order: west, south, east, north.
+  const Vec2 quad[4] = {points[iw], points[is], points[ie], points[in]};
+  simd::hull_cull_mask(points.data(), points.size(), quad, inside);
+  return {iw, ie};
+}
+
+/// Lower half-plane around o, the half that holds the angles [pi, 2 pi):
+/// below o, or on its horizontal line and not to its right. Comparisons of
+/// the coordinates themselves, so exact.
+inline bool below(Vec2 p, Vec2 o) noexcept {
+  return p.y < o.y || (p.y == o.y && !(p.x > o.x));
+}
+
 }  // namespace
 
 std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
@@ -116,23 +160,14 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
     // every point it cannot decide, and on fully collinear input
     // (degenerate quad) it certifies nothing, so the degenerate branch
     // still sees the complete sorted order.
-    std::size_t iw = 0, ie = 0, is = 0, in = 0;
-    for (std::size_t j = 1; j < n; ++j) {
-      if (points[j].x < points[iw].x) iw = j;
-      if (points[j].x > points[ie].x) ie = j;
-      if (points[j].y < points[is].y) is = j;
-      if (points[j].y > points[in].y) in = j;
-    }
-    // CCW corner order: west, south, east, north.
-    const Vec2 quad[4] = {points[iw], points[is], points[ie], points[in]};
     std::vector<std::uint8_t> inside(n);
-    simd::hull_cull_mask(points.data(), n, quad, inside.data());
+    const auto [west, east] = cull_mask(points, inside.data());
     for (std::uint32_t j = 0; j < n; ++j) {
       if (inside[j] != 0) continue;
       records.push_back(Key64Record{coord_key64(points[j].x), j});
     }
-    min_x = points[iw].x;
-    max_x = points[ie].x;
+    min_x = points[west].x;
+    max_x = points[east].x;
   } else {
     for (std::uint32_t j = 0; j < n; ++j) {
       records.push_back(Key64Record{coord_key64(points[j].x), j});
@@ -191,6 +226,87 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
   return hull;
 }
 
+bool sweep_hull_indices(std::span<const Vec2> pts,
+                        std::vector<std::size_t>& hull) {
+  if (pts.size() < 4) return false;  // Three fringe points at the least.
+  const Vec2 o = pts[0];
+  const std::span<const Vec2> others = pts.subspan(1);
+  const std::size_t n = others.size();
+  // The fringe: pts[1..] minus the points certified strictly inside their
+  // extreme quad (never hull vertices), compacted branch-free in input
+  // order as indices into pts.
+  std::vector<std::uint8_t> inside(n);
+  cull_mask(others, inside.data());
+  std::vector<std::uint32_t> fringe(n);
+  std::size_t f = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    fringe[f] = static_cast<std::uint32_t>(j + 1);
+    f += inside[j] ^ 1u;
+  }
+  if (f < 3) return false;
+  // The certificate. Every cyclically consecutive pair (a, b) turns around
+  // o with the same nonzero sign, so each step sweeps an angle strictly
+  // between 0 and pi in one rotational direction, and the steps add up to
+  // 2 pi times the number of times the fringe winds around o. A step
+  // crosses the positive x-ray of o exactly when it leaves the lower half
+  // for the upper one (CCW) or the upper for the lower (CW); in a cycle
+  // the two kinds of half change are equally many, so counting one kind
+  // counts the crossings. Exactly one crossing means the steps sum to
+  // 2 pi: the fringe is strictly sorted by angle around o, and with every
+  // gap below pi, o is strictly inside its hull.
+  Vec2 a = pts[fringe[f - 1]];
+  Vec2 da = a - o;
+  const int turn =
+      orient2d_around(da, pts[fringe[0]] - o, a, pts[fringe[0]], o);
+  if (turn == 0) return false;
+  bool a_below = below(a, o);
+  std::size_t crossings = 0;
+  for (std::size_t k = 0; k < f; ++k) {
+    const Vec2 b = pts[fringe[k]];
+    const Vec2 db = b - o;
+    if (orient2d_around(da, db, a, b, o) != turn) return false;
+    const bool b_below = below(b, o);
+    crossings += static_cast<std::size_t>(a_below && !b_below);
+    a = b;
+    da = db;
+    a_below = b_below;
+  }
+  if (crossings != 1) return false;
+  // Graham's scan around an interior point: start at the lexicographic
+  // minimum (always a hull vertex), walk the fringe counter-clockwise and
+  // close on the start again. A popped point lies in the closed triangle
+  // of o and its stack neighbours, whose sector spans less than pi (hull
+  // vertices are never popped, and every point between two of them lies
+  // in their sector), so it is no hull vertex; the final stack turns left
+  // everywhere and winds once, so it is the strict hull, CCW from the
+  // lexicographic minimum — convex_hull_indices' list element for element.
+  std::size_t start = 0;
+  Vec2 s = pts[fringe[0]];
+  for (std::size_t k = 1; k < f; ++k) {
+    const Vec2 p = pts[fringe[k]];
+    if (p.x < s.x || (p.x == s.x && p.y < s.y)) {
+      s = p;
+      start = k;
+    }
+  }
+  const std::size_t step = turn > 0 ? 1 : f - 1;  // CCW in either frame.
+  hull.resize(f + 1);
+  std::size_t t = 0;
+  std::size_t pos = start;
+  for (std::size_t c = 0; c <= f; ++c) {
+    const std::size_t i = fringe[pos];
+    while (t >= 2 &&
+           orient2d_inline(pts[hull[t - 2]], pts[hull[t - 1]], pts[i]) <= 0) {
+      --t;
+    }
+    hull[t++] = i;
+    pos += step;
+    if (pos >= f) pos -= f;
+  }
+  hull.resize(t - 1);  // The start, pushed twice.
+  return true;
+}
+
 bool points_in_strictly_convex_position(std::span<const Vec2> points) {
   if (points.size() <= 2) return true;
   if (all_collinear(points)) return false;
@@ -203,16 +319,9 @@ bool nearly_collinear(std::span<const Vec2> points, double rel_tol) {
   if (n <= 2) return true;
   // Anchor the line on the pair (p0, q) with q farthest from p0 — a
   // 2-approximation of the diameter, good enough for a tolerance test.
-  std::size_t far_idx = 0;
-  double far_sq = 0.0;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double d = distance_sq(points[0], points[i]);
-    if (d > far_sq) {
-      far_sq = d;
-      far_idx = i;
-    }
-  }
-  if (far_sq == 0.0) return true;  // All coincident.
+  const std::size_t far_idx = simd::farthest_index(points.data(), n, points[0]);
+  if (far_idx == 0) return true;  // All coincident.
+  const double far_sq = distance_sq(points[0], points[far_idx]);
   const Vec2 a = points[0];
   const Vec2 b = points[far_idx];
   // |orient| = 2 * area = |ab| * dist(c, line ab); require dist <= tol*|ab|.

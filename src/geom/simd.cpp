@@ -200,6 +200,10 @@ double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
   return active().nearest_distance_sq(pts, n, subject, from);
 }
 
+std::size_t farthest_index(const Vec2* pts, std::size_t n, Vec2 from) {
+  return active().farthest_index(pts, n, from);
+}
+
 bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
                         double r, const std::size_t skip[3]) {
   return active().any_within_segment(pts, n, s, r, skip);

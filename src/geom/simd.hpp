@@ -9,8 +9,9 @@
 // startup: the best level the host supports, overridable with
 // LUMEN_SIMD=scalar|sse2|avx2|neon (unsupported requests clamp down; the
 // scalar fallback always exists). Compute's per-point scans over a view —
-// the nearest-neighbour distance, the exit-corridor test and the corner
-// test's cone membership — are batched the same way.
+// the line test's farthest point, the nearest-neighbour distance, the
+// exit-corridor test and the corner test's cone membership — are batched
+// the same way.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
 // same AngularKey sequences, presort records, cull mask and scan answers as
@@ -103,6 +104,15 @@ void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
 /// point exists.
 [[nodiscard]] double nearest_distance_sq(const Vec2* pts, std::size_t n,
                                          std::size_t subject, Vec2 from);
+
+/// The first index of the largest distance_sq(from, pts[j]) over [0, n),
+/// counting only distances above zero: the scalar loop starts from index 0
+/// at distance 0 and moves on `d > far_sq`, so a NaN distance never wins
+/// and 0 comes back when no point lies away from `from` (or n == 0). Lanes
+/// keep their own first maximum and the reduction takes the largest value
+/// at the smallest index, so every level returns the scalar loop's index.
+[[nodiscard]] std::size_t farthest_index(const Vec2* pts, std::size_t n,
+                                         Vec2 from);
 
 /// True iff some pts[j], j not in skip[0..2], has
 /// point_segment_distance_within(s, pts[j], r) <= r — the corridor test of

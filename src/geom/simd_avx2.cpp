@@ -39,6 +39,7 @@ const detail::Kernels detail::kAvx2Kernels = {
     .bucket_scatter = avx2::bucket_scatter,
     .hull_cull_mask = avx2::hull_cull_mask,
     .nearest_distance_sq = avx2::nearest_distance_sq,
+    .farthest_index = avx2::farthest_index,
     .any_within_segment = avx2::any_within_segment,
     .cone_skip = avx2::cone_skip,
 };

@@ -124,6 +124,18 @@ inline double fold_nearest(double acc, Vec2 from, Vec2 p) noexcept {
   return d < acc ? d : acc;
 }
 
+/// One point of farthest_index: point j replaces the farthest so far only
+/// when strictly farther (`d > far_sq`, so NaN never wins and ties keep the
+/// first index).
+inline void fold_farthest(std::size_t& far, double& far_sq, Vec2 from, Vec2 p,
+                          std::size_t j) noexcept {
+  const double d = distance_sq(from, p);
+  if (d > far_sq) {
+    far_sq = d;
+    far = j;
+  }
+}
+
 /// True iff j is one of any_within_segment's three skipped indices.
 inline bool is_skipped(std::size_t j, const std::size_t skip[3]) noexcept {
   return j == skip[0] || j == skip[1] || j == skip[2];

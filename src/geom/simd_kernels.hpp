@@ -54,6 +54,7 @@ struct Kernels {
                          std::uint8_t* inside);
   double (*nearest_distance_sq)(const Vec2* pts, std::size_t n,
                                 std::size_t subject, Vec2 from);
+  std::size_t (*farthest_index)(const Vec2* pts, std::size_t n, Vec2 from);
   bool (*any_within_segment)(const Vec2* pts, std::size_t n, const Segment& s,
                              double r, const std::size_t skip[3]);
   std::size_t (*cone_skip)(const Vec2* pts, std::size_t n, std::size_t i,

@@ -61,6 +61,15 @@ double nearest_distance_sq(const Vec2* pts, std::size_t n, std::size_t subject,
   return acc;
 }
 
+std::size_t farthest_index(const Vec2* pts, std::size_t n, Vec2 from) {
+  std::size_t far = 0;
+  double far_sq = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    detail::fold_farthest(far, far_sq, from, pts[j], j);
+  }
+  return far;
+}
+
 bool any_within_segment(const Vec2* pts, std::size_t n, const Segment& s,
                         double r, const std::size_t skip[3]) {
   for (std::size_t j = 0; j < n; ++j) {
@@ -91,6 +100,7 @@ const detail::Kernels detail::kScalarKernels = {
     .bucket_scatter = scalar::bucket_scatter,
     .hull_cull_mask = scalar::hull_cull_mask,
     .nearest_distance_sq = scalar::nearest_distance_sq,
+    .farthest_index = scalar::farthest_index,
     .any_within_segment = scalar::any_within_segment,
     .cone_skip = scalar::cone_skip,
 };

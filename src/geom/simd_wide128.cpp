@@ -34,6 +34,7 @@ const detail::Kernels detail::kWide128Kernels = {
     .bucket_scatter = wide128::bucket_scatter,
     .hull_cull_mask = wide128::hull_cull_mask,
     .nearest_distance_sq = wide128::nearest_distance_sq,
+    .farthest_index = wide128::farthest_index,
     .any_within_segment = wide128::any_within_segment,
     .cone_skip = wide128::cone_skip,
 };

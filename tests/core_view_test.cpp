@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
@@ -121,6 +122,56 @@ TEST(BuildView, LineRoleSurvivesRandomFrames) {
     const auto view = build_view(snap);
     EXPECT_EQ(view.role, Role::kLine) << "trial " << trial;
   }
+}
+
+TEST(BuildView, SweepHullMatchesSortBasedClassification) {
+  // Side and Interior views against the classification build_view made
+  // before the sweep hull existed: the sorted hull, then Side iff the
+  // observer lies on one of its edges. Random frames (half of them
+  // reflected) perturb the sweep order the certificate checks; every other
+  // robot gets an axis-aligned frame instead, exact on integer coordinates,
+  // so the full lattices' boundary robots are exact Side observers.
+  std::vector<std::pair<std::string, std::vector<Vec2>>> worlds;
+  for (const auto family : {gen::ConfigFamily::kUniformDisk, gen::ConfigFamily::kLattice,
+                            gen::ConfigFamily::kRingWithCore, gen::ConfigFamily::kMultiCluster}) {
+    for (const std::size_t n : {std::size_t{64}, std::size_t{300}}) {
+      worlds.emplace_back(gen::to_string(family), gen::generate(family, n, 3 + n));
+    }
+  }
+  for (const int w : {5, 12}) {
+    std::vector<Vec2> grid;
+    for (int x = 0; x < w; ++x) {
+      for (int y = 0; y < 9; ++y) grid.push_back({2.0 * x, 3.0 * y});
+    }
+    worlds.emplace_back("full lattice", std::move(grid));
+  }
+  util::Prng rng{29};
+  int swept = 0;
+  int sides = 0;
+  int interiors = 0;
+  for (const auto& [name, world] : worlds) {
+    const std::vector<Light> lights(world.size(), Light::kOff);
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      const auto frame = i % 2 == 0 ? model::LocalFrame::random(world[i], rng)
+                                    : model::LocalFrame{world[i], 0.0, 1.0, i % 4 == 1};
+      const auto snap = model::build_snapshot(world, lights, i, frame);
+      const auto view = build_view(snap);
+      if (view.role != Role::kSide && view.role != Role::kInterior) continue;
+      LocalView sorted;
+      sorted.pts = view.pts;
+      sorted.hull = geom::convex_hull_indices(view.pts);
+      const Role role = containing_hull_edge(sorted) ? Role::kSide : Role::kInterior;
+      const std::string what = name + " robot " + std::to_string(i);
+      EXPECT_EQ(view.role, role) << what;
+      EXPECT_EQ(view.hull, sorted.hull) << what;
+      std::vector<std::size_t> hull;
+      if (geom::sweep_hull_indices(view.pts, hull)) ++swept;
+      (role == Role::kSide ? sides : interiors) += 1;
+    }
+  }
+  EXPECT_GE(swept, interiors * 9 / 10);
+  EXPECT_GE(interiors, 500);
+  EXPECT_GE(sides, 10);
 }
 
 TEST(CornerTest, OppositePointsThroughTheOrigin) {

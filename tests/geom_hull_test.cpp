@@ -1,14 +1,21 @@
 // Convex hull tests: known shapes, degeneracies, and randomized invariants
 // checked against first principles (every point inside, every hull vertex
-// strictly extreme).
+// strictly extreme); the sweep hull against the sorted hull on real Look
+// snapshots and on the orders its certificate must decline.
 #include "geom/hull.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
+#include <string>
 
+#include "gen/generators.hpp"
 #include "geom/predicates.hpp"
 #include "hull_oracle.hpp"
+#include "model/frame.hpp"
+#include "model/snapshot.hpp"
 #include "util/prng.hpp"
 
 namespace lumen::geom {
@@ -153,6 +160,180 @@ TEST(ConvexHull, LexicographicStartVertex) {
     for (const auto i : hull) {
       EXPECT_LE(first, pts[i]);
     }
+  }
+}
+
+/// A hull list no successful sweep returns: a declined sweep must leave it.
+const std::vector<std::size_t> kUntouched = {7, 7, 7};
+
+TEST(SweepHull, MatchesTheSortedHullOnLookSnapshots) {
+  // Every observer's Look under a random local frame (reflected in about
+  // half): the snapshot lists the visible robots in the sweep order of the
+  // world frame, mapped through the frame. Success must give exactly the
+  // sorted hull with the observer strictly inside it; a decline must leave
+  // the output alone.
+  util::Prng rng{31};
+  int swept = 0;
+  int swept_reflected = 0;
+  int interior = 0;
+  int declined_boundary = 0;
+  std::size_t largest = 0;
+  for (const auto family : {gen::ConfigFamily::kUniformDisk, gen::ConfigFamily::kRingWithCore,
+                            gen::ConfigFamily::kLattice, gen::ConfigFamily::kMultiCluster}) {
+    for (const std::size_t n : {4u, 9u, 33u, 130u, 517u, 2048u}) {
+      const auto world = gen::generate(family, n, 7 + n);
+      const std::vector<model::Light> lights(world.size(), model::Light::kOff);
+      for (std::size_t i = 0; i < world.size(); ++i) {
+        const auto frame = model::LocalFrame::random(world[i], rng);
+        const auto snap = model::build_snapshot(world, lights, i, frame);
+        const auto pts = snap.all_positions();
+        const auto expected = convex_hull_indices(pts);
+        std::vector<Vec2> hull_pts;
+        for (const auto k : expected) hull_pts.push_back(pts[k]);
+        const bool inside = expected.size() >= 3 &&
+                            classify_against_hull(hull_pts, pts[0]) == HullPosition::kInterior;
+        std::vector<std::size_t> hull = kUntouched;
+        const bool ok = sweep_hull_indices(pts, hull);
+        const std::string what = std::string(gen::to_string(family)) + " n=" +
+                                 std::to_string(n) + " robot " + std::to_string(i);
+        if (ok) {
+          EXPECT_EQ(hull, expected) << what;
+          EXPECT_TRUE(inside) << what;
+          ++swept;
+          if (frame.reflected()) ++swept_reflected;
+          largest = std::max(largest, pts.size());
+        } else {
+          EXPECT_EQ(hull, kUntouched) << what;
+          if (!inside) ++declined_boundary;
+        }
+        if (inside) ++interior;
+      }
+    }
+  }
+  // Rounding rarely reorders a sweep: nearly every interior Look certifies.
+  EXPECT_GE(swept, interior * 9 / 10);
+  EXPECT_GE(swept, 3000);
+  EXPECT_GE(swept_reflected, 1000);
+  EXPECT_GE(declined_boundary, 300);
+  EXPECT_GE(largest, 2000u);
+}
+
+/// Local points around the origin: the observer, then a regular k-gon of
+/// radius 2 listed counter-clockwise from angle `phase`.
+std::vector<Vec2> polygon_view(std::size_t k, double phase) {
+  std::vector<Vec2> pts = {{0.0, 0.0}};
+  for (std::size_t j = 0; j < k; ++j) {
+    const double a = phase + 2.0 * std::numbers::pi * static_cast<double>(j) /
+                                 static_cast<double>(k);
+    pts.push_back({2.0 * std::cos(a), 2.0 * std::sin(a)});
+  }
+  return pts;
+}
+
+TEST(SweepHull, CertifiesEitherRotationalDirection) {
+  for (const std::size_t k : {3u, 4u, 7u, 12u, 40u}) {
+    for (const double phase : {0.0, 0.3, 2.0, 4.5}) {
+      auto pts = polygon_view(k, phase);
+      std::vector<std::size_t> hull;
+      ASSERT_TRUE(sweep_hull_indices(pts, hull)) << "k=" << k;
+      EXPECT_EQ(hull, convex_hull_indices(pts)) << "k=" << k;
+      // Clockwise, as a reflected frame lists it.
+      std::reverse(pts.begin() + 1, pts.end());
+      ASSERT_TRUE(sweep_hull_indices(pts, hull)) << "k=" << k << " reversed";
+      EXPECT_EQ(hull, convex_hull_indices(pts)) << "k=" << k << " reversed";
+    }
+  }
+}
+
+TEST(SweepHull, DropsPointsOnEdgesAndInside) {
+  // A square with its edge midpoints and two inner points, in sweep order
+  // around the observer at the origin.
+  const std::vector<Vec2> pts = {{0, 0},   {2, 0},    {2, 2},   {0, 2},
+                                 {-2, 2},  {-2, 0},   {-2, -2}, {-0.5, -1},
+                                 {0, -2},  {1, -1.5}, {2, -2}};
+  std::vector<std::size_t> hull;
+  ASSERT_TRUE(sweep_hull_indices(pts, hull));
+  EXPECT_EQ(hull, convex_hull_indices(pts));
+  EXPECT_EQ(hull, (std::vector<std::size_t>{6, 10, 2, 4}));
+}
+
+TEST(SweepHull, DeclinesASideObserverAtAnEdgeMidpoint) {
+  // The observer halfway along the edge (-1, 0)-(1, 0): the sweep's gap
+  // from (-1, 0) back to (1, 0) is exactly pi, wherever the list starts.
+  std::vector<Vec2> pts = {{0, 0}, {1, 0}, {0.7, 1.5}, {0, 1}, {-0.5, 2}, {-1, 0}};
+  for (std::size_t r = 0; r + 1 < pts.size(); ++r) {
+    std::vector<std::size_t> hull = kUntouched;
+    EXPECT_FALSE(sweep_hull_indices(pts, hull)) << "rotation " << r;
+    EXPECT_EQ(hull, kUntouched);
+    std::rotate(pts.begin() + 1, pts.begin() + 2, pts.end());
+  }
+}
+
+TEST(SweepHull, DeclinesTwoSwappedNeighbours) {
+  for (const std::size_t k : {5u, 12u, 40u}) {
+    for (std::size_t s = 1; s + 1 < k + 1; ++s) {
+      auto pts = polygon_view(k, 0.1);
+      std::swap(pts[s], pts[s + 1]);
+      std::vector<std::size_t> hull = kUntouched;
+      EXPECT_FALSE(sweep_hull_indices(pts, hull)) << "k=" << k << " s=" << s;
+      EXPECT_EQ(hull, kUntouched);
+    }
+  }
+}
+
+TEST(SweepHull, DeclinesADuplicatePoint) {
+  const auto base = polygon_view(12, 0.1);
+  for (std::size_t s = 1; s <= 12; ++s) {
+    // Repeated at once, and repeated at the far end of the sweep.
+    auto adjacent = base;
+    adjacent.insert(adjacent.begin() + static_cast<std::ptrdiff_t>(s), base[s]);
+    auto distant = base;
+    distant.push_back(base[s]);
+    for (const auto& pts : {adjacent, distant}) {
+      std::vector<std::size_t> hull = kUntouched;
+      EXPECT_FALSE(sweep_hull_indices(pts, hull)) << "s=" << s;
+      EXPECT_EQ(hull, kUntouched);
+    }
+  }
+  // A point on the observer itself has no direction, so the certificate
+  // cannot take it; the cull drops it first here (it is strictly inside the
+  // extreme quad), and the hull is the sorted one.
+  auto coincident = base;
+  coincident.insert(coincident.begin() + 4, Vec2{0, 0});
+  std::vector<std::size_t> hull;
+  ASSERT_TRUE(sweep_hull_indices(coincident, hull));
+  EXPECT_EQ(hull, convex_hull_indices(coincident));
+}
+
+TEST(SweepHull, DeclinesAnObserverOnTheHull) {
+  // The observer is a hull vertex: everything lies in the upper half-plane,
+  // listed in sweep order, so the step from the last point back to the
+  // first turns the other way.
+  std::vector<Vec2> pts = {{0, 0}};
+  for (std::size_t j = 1; j <= 20; ++j) {
+    const double a = std::numbers::pi * static_cast<double>(j) / 21.0;
+    pts.push_back({std::cos(a) * (1.0 + 0.1 * static_cast<double>(j % 3)), std::sin(a)});
+  }
+  std::vector<std::size_t> hull = kUntouched;
+  EXPECT_FALSE(sweep_hull_indices(pts, hull));
+  EXPECT_EQ(hull, kUntouched);
+  // Too few points to surround anything.
+  for (const auto& few :
+       {std::vector<Vec2>{}, std::vector<Vec2>{{0, 0}}, std::vector<Vec2>{{0, 0}, {1, 0}, {0, 1}}}) {
+    EXPECT_FALSE(sweep_hull_indices(few, hull));
+    EXPECT_EQ(hull, kUntouched);
+  }
+}
+
+TEST(SweepHull, DeclinesASweepListedTwice) {
+  // Every consecutive pair turns the same way, but the sweep winds twice.
+  for (const std::size_t k : {3u, 8u, 25u}) {
+    auto pts = polygon_view(k, 0.2);
+    const std::vector<Vec2> once(pts.begin() + 1, pts.end());
+    pts.insert(pts.end(), once.begin(), once.end());
+    std::vector<std::size_t> hull = kUntouched;
+    EXPECT_FALSE(sweep_hull_indices(pts, hull)) << "k=" << k;
+    EXPECT_EQ(hull, kUntouched);
   }
 }
 

@@ -9,8 +9,9 @@
 // the dy == 0 half-plane tie-break), coincident-heavy (skipped lanes), and
 // a small integer lattice (exactly representable coordinates, maximal key
 // ties) — at sizes chosen to hit every vector-width remainder path. The
-// Compute scans (nearest neighbour, corridor, cone skip) are compared the
-// same way on robots' local views and on degenerate inputs.
+// Compute scans (farthest point, nearest neighbour, corridor, cone skip)
+// are compared the same way on robots' local views and on degenerate
+// inputs.
 #include "gen/generators.hpp"
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
@@ -491,6 +492,62 @@ TEST(GeomSimd, EveryLevelFindsNearestIdentically) {
   EXPECT_GT(checked, 400);
 }
 
+/// The line test's anchor loop, as nearly_collinear ran it inline: the
+/// first index strictly farther than everything before it, from 0 at 0.
+std::size_t farthest_reference(const std::vector<Vec2>& pts, Vec2 from) {
+  std::size_t far = 0;
+  double far_sq = 0.0;
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    const double d = geom::distance_sq(from, pts[j]);
+    if (d > far_sq) {
+      far_sq = d;
+      far = j;
+    }
+  }
+  return far;
+}
+
+TEST(GeomSimd, EveryLevelFindsFarthestIdentically) {
+  LevelGuard guard;
+  const auto levels = supported_levels();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto inputs = scan_inputs();
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 40u}) {
+    // Ties: the points cycle through four at distance 1 and four at
+    // distance 2 from the origin, so every lane holds a tie of the maximum
+    // and the first index must win.
+    std::vector<Vec2> ties, with_nan, coincident, nan_origin;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double r = (j / 4) % 2 == 0 ? 2.0 : 1.0;
+      const Vec2 dirs[4] = {{r, 0}, {0, r}, {-r, 0}, {0, -r}};
+      ties.push_back(dirs[j % 4]);
+      // NaN points in the lanes, around genuine maxima.
+      with_nan.push_back(j % 3 == 1 ? Vec2{nan, 1.0}
+                                    : Vec2{static_cast<double>(j % 5), 0.5});
+      coincident.push_back({3.5, -1.25});
+      nan_origin.push_back(j == 0 ? Vec2{nan, nan} : Vec2{static_cast<double>(j), 1.0});
+    }
+    for (auto* v : {&ties, &with_nan, &coincident, &nan_origin}) inputs.push_back(*v);
+  }
+  int checked = 0;
+  int nonzero = 0;
+  for (const auto& pts : inputs) {
+    const std::size_t n = pts.size();
+    for (const Vec2 from : {n == 0 ? Vec2{} : pts[0], Vec2{}, Vec2{3.5, -1.25}}) {
+      const std::size_t expected = farthest_reference(pts, from);
+      if (expected != 0) ++nonzero;
+      for (Level level : levels) {
+        ASSERT_TRUE(geom::simd::set_active_level(level));
+        EXPECT_EQ(geom::simd::farthest_index(pts.data(), n, from), expected)
+            << describe(pts, level) << " from=(" << from.x << "," << from.y << ")";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 500);
+  EXPECT_GT(nonzero, 100);
+}
+
 TEST(GeomSimd, EveryLevelScansCorridorsIdentically) {
   LevelGuard guard;
   const auto levels = supported_levels();
@@ -664,6 +721,7 @@ TEST(GeomSimd, EveryLevelAnswersScansWithNothingToScan) {
     EXPECT_FALSE(geom::simd::any_within_segment(pts.data(), pts.size(), path,
                                                 1e9, skip_all))
         << what;
+    EXPECT_EQ(geom::simd::farthest_index(pts.data(), 0, {9.0, 9.0}), 0u) << what;
     for (std::size_t n = 0; n <= pts.size(); ++n) {
       EXPECT_EQ(geom::simd::cone_skip(pts.data(), n, n, {}, {1.0, 0.0},
                                       {0.0, 1.0}),
